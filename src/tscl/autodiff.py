@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from tscl.errors import DegenerateInputError, DimensionError, ParameterError
-from tscl.tensor import Tensor2D, as_array, softmax_row
+from tscl.tensor import Tensor2D, as_array, keep_mask, softmax_row
 
 Pullback = Callable[[np.ndarray], np.ndarray]
 
@@ -289,18 +289,6 @@ def row_l2_normalize(a: DiffNode) -> DiffNode:
     return DiffNode(Tensor2D(out), parents=[(a, pull)], op="row_l2_normalize")
 
 
-def _keep_mask(n: int, m: int, excluded: Optional[np.ndarray]) -> np.ndarray:
-    keep = np.ones((n, m), dtype=bool)
-    if excluded is not None:
-        idx = np.asarray(excluded, dtype=np.intp)
-        if idx.shape != (n,):
-            raise DimensionError(
-                f"excluded-index mask must have shape ({n},), got {idx.shape}"
-            )
-        keep[np.arange(n), idx] = False
-    return keep
-
-
 def masked_softmax_rows(
     a: DiffNode,
     excluded: Optional[np.ndarray] = None,
@@ -324,7 +312,7 @@ def logsumexp_row(a: DiffNode, excluded: Optional[np.ndarray] = None) -> DiffNod
     """Stabilized log-sum-exp of each row (Nx1), skipping excluded entries."""
     av = a.array
     n, m = av.shape
-    keep = _keep_mask(n, m, excluded)
+    keep = keep_mask(n, m, excluded)
     masked = np.where(keep, av, -np.inf)
     mx = masked.max(axis=1, keepdims=True)
     e = np.where(keep, np.exp(av - mx), 0.0)

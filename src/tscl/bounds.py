@@ -16,20 +16,20 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from tscl import autodiff as ad
 from tscl.errors import (
     DegenerateClassError,
     DimensionError,
-    NormalizationError,
     ParameterError,
     UndefinedBoundError,
 )
-from tscl.losses import BatchIndexing, two_view_indexing
-from tscl.tensor import Tensor2D
+from tscl.losses import BatchIndexing, check_unit_rows, two_view_indexing
+
+#: Temperatures a bound sweep covers unless told otherwise.
+FUZZ_TEMPERATURES = (0.2, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -86,24 +86,6 @@ class BoundReport:
     @property
     def q2_satisfied(self) -> bool:
         return self.equality.q2_satisfied
-
-
-def _embedding_values(z) -> np.ndarray:
-    if isinstance(z, ad.DiffNode):
-        return z.value.array
-    if isinstance(z, Tensor2D):
-        return z.array
-    return np.asarray(z, dtype=np.float64)
-
-
-def _check_unit_norm(values: np.ndarray, tol: float = 1e-6) -> None:
-    norms = np.linalg.norm(values, axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
-    if bad.size:
-        raise NormalizationError(
-            f"embedding rows must be unit-norm within {tol}: "
-            f"rows {bad[:5].tolist()} have norms {norms[bad[:5]].tolist()}"
-        )
 
 
 def _prepare(
@@ -237,28 +219,28 @@ def bound_uc_from_sims(
     )
 
 
+def _unit_sims(z) -> np.ndarray:
+    """Inner products of unit-norm embeddings (node, tensor or array-like)."""
+    values = check_unit_rows(z)
+    return values @ values.T
+
+
 def bound_sc(
     z, idx: BatchIndexing, class_index: int, temperature: float = 1.0, tol: float = 1e-9
 ) -> BoundReport:
-    values = _embedding_values(z)
-    _check_unit_norm(values)
-    return bound_sc_from_sims(values @ values.T, idx, class_index, temperature, tol)
+    return bound_sc_from_sims(_unit_sims(z), idx, class_index, temperature, tol)
 
 
 def bound_uc(
     z, idx: BatchIndexing, class_index: int, temperature: float = 1.0, tol: float = 1e-9
 ) -> BoundReport:
-    values = _embedding_values(z)
-    _check_unit_norm(values)
-    return bound_uc_from_sims(values @ values.T, idx, class_index, temperature, tol)
+    return bound_uc_from_sims(_unit_sims(z), idx, class_index, temperature, tol)
 
 
 def check_equality_conditions(
     z, idx: BatchIndexing, class_index: int, tol: float = 1e-9
 ) -> EqualityConditions:
-    values = _embedding_values(z)
-    _check_unit_norm(values)
-    return equality_conditions_from_sims(values @ values.T, idx, class_index, tol)
+    return equality_conditions_from_sims(_unit_sims(z), idx, class_index, tol)
 
 
 @dataclass(frozen=True)
@@ -319,16 +301,7 @@ class FuzzSummary:
     elapsed_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "configurations": self.configurations,
-            "evaluations": self.evaluations,
-            "violations": self.violations,
-            "worst_slack": self.worst_slack,
-            "worst_slack_config": self.worst_slack_config,
-            "equality_evaluations": self.equality_evaluations,
-            "worst_equality_slack": self.worst_equality_slack,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return asdict(self)
 
 
 def fuzz_bounds(
@@ -337,7 +310,7 @@ def fuzz_bounds(
     max_batch: int = 16,
     max_dim: int = 8,
     max_classes: int = 4,
-    temperatures: tuple[float, ...] = (0.2, 0.5, 1.0),
+    temperatures: tuple[float, ...] = FUZZ_TEMPERATURES,
     slack_floor: float = -1e-9,
     equality_tol: float = 1e-12,
 ) -> FuzzSummary:
@@ -376,17 +349,16 @@ def fuzz_bounds(
         for tau in temperatures:
             for y in np.unique(idx.labels):
                 for builder in (bound_sc_from_sims, bound_uc_from_sims):
-                    report = builder(sims, idx, int(y), temperature=tau)
+                    report = builder(
+                        sims, idx, int(y), temperature=tau, tol=equality_tol
+                    )
                     evaluations += 1
                     if report.slack < worst_slack:
                         worst_slack = report.slack
                         worst_config = config
                     if report.slack < slack_floor:
                         violations += 1
-                    eq = equality_conditions_from_sims(
-                        sims, idx, int(y), tol=equality_tol
-                    )
-                    if eq.both:
+                    if report.equality.both:
                         equality_evaluations += 1
                         worst_equality_slack = max(
                             worst_equality_slack, report.slack

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .augment import TimeSeriesBatch
-from .bounds import bound_sc, bound_uc, check_equality_conditions, fuzz_bounds
+from .bounds import FUZZ_TEMPERATURES, bound_sc, bound_uc, fuzz_bounds
 from .data import SynthSpec, generate, load_delimited, save_delimited, split_labels, stratified_split
 from .errors import ParameterError, TrainingDivergedError
 from .harness import (
@@ -207,6 +207,23 @@ def _load_dataset(doc: dict, path: str, which: str) -> TimeSeriesBatch:
     )
 
 
+def _training_inputs(
+    args: argparse.Namespace,
+) -> tuple[dict, TrainConfig, int, float, TimeSeriesBatch, TimeSeriesBatch]:
+    """Config document, train config, probe epochs and rate, train and test sets."""
+    doc = _apply_overrides(_load_config(args.config), args.set)
+    config = _train_config(doc, args.config)
+    probe_sec = _section(doc, "probe", args.config, required=False)
+    try:
+        probe_epochs = int(probe_sec.get("epochs", 200))
+        probe_lr = float(probe_sec.get("lr", 1e-2))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{args.config}: probe section: {exc}")
+    train = _load_dataset(doc, args.config, "train")
+    test = _load_dataset(doc, args.config, "test")
+    return doc, config, probe_epochs, probe_lr, train, test
+
+
 def _label_split_for_seed(
     batch: TimeSeriesBatch, fraction: float, seed: int
 ) -> TimeSeriesBatch:
@@ -245,7 +262,6 @@ def _evaluate_case(case_path: str, slack_floor: float) -> dict:
             continue
         for kind, fn in (("class", bound_sc), ("instance", bound_uc)):
             report = fn(values, idx, y, temperature=temperature)
-            equality = check_equality_conditions(values, idx, y)
             slack = report.slack
             worst = min(worst, slack)
             if slack < slack_floor:
@@ -257,8 +273,8 @@ def _evaluate_case(case_path: str, slack_floor: float) -> dict:
                     "bound": report.total_bound,
                     "actual": report.total_actual,
                     "slack": slack,
-                    "q1_satisfied": equality.q1_satisfied,
-                    "q2_satisfied": equality.q2_satisfied,
+                    "q1_satisfied": report.q1_satisfied,
+                    "q2_satisfied": report.q2_satisfied,
                 }
             )
     if not rows:
@@ -278,13 +294,14 @@ def _evaluate_case(case_path: str, slack_floor: float) -> dict:
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     started = time.time()
     out_dir = _output_dir(args, "verify-bounds")
+    taus = args.tau or list(FUZZ_TEMPERATURES)
     summary = fuzz_bounds(
         configurations=args.configurations,
         seed=args.seed,
         max_batch=args.max_batch,
         max_dim=args.max_dim,
         max_classes=args.max_classes,
-        temperatures=tuple(args.tau),
+        temperatures=tuple(taus),
     )
     case_report = _evaluate_case(args.case, -1e-9) if args.case else None
     violations = summary.violations + (case_report["violations"] if case_report else 0)
@@ -306,7 +323,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
             "max_batch": args.max_batch,
             "max_dim": args.max_dim,
             "max_classes": args.max_classes,
-            "tau": list(args.tau),
+            "tau": taus,
             "case": args.case,
         },
         [args.seed],
@@ -381,13 +398,7 @@ def _run_one_seed(
 
 def _cmd_pretrain(args: argparse.Namespace) -> int:
     started = time.time()
-    doc = _apply_overrides(_load_config(args.config), args.set)
-    config = _train_config(doc, args.config)
-    probe_sec = _section(doc, "probe", args.config, required=False)
-    probe_epochs = int(probe_sec.get("epochs", 200))
-    probe_lr = float(probe_sec.get("lr", 1e-2))
-    train = _load_dataset(doc, args.config, "train")
-    test = _load_dataset(doc, args.config, "test")
+    doc, config, probe_epochs, probe_lr, train, test = _training_inputs(args)
     out_dir = _output_dir(args, "pretrain")
 
     seeds = list(config.seeds)
@@ -434,15 +445,26 @@ def _save_seed_outputs(out_dir: Path, seed: int, record: RunRecord, values: dict
 # probe
 
 
+def _check_checkpoint(
+    loaded: dict[str, Tensor2D], expected: dict[str, Tensor2D], path: str
+) -> None:
+    """Raise unless ``loaded`` holds exactly the model's arrays, shape for shape."""
+    problems = [f"missing {name}" for name in sorted(set(expected) - set(loaded))]
+    problems += [f"unexpected {name}" for name in sorted(set(loaded) - set(expected))]
+    problems += [
+        f"{name} has shape {loaded[name].shape}, the model needs {expected[name].shape}"
+        for name in sorted(set(loaded) & set(expected))
+        if loaded[name].shape != expected[name].shape
+    ]
+    if problems:
+        raise ParameterError(
+            f"{path}: checkpoint does not match the model: {'; '.join(problems)}"
+        )
+
+
 def _cmd_probe(args: argparse.Namespace) -> int:
     started = time.time()
-    doc = _apply_overrides(_load_config(args.config), args.set)
-    config = _train_config(doc, args.config)
-    probe_sec = _section(doc, "probe", args.config, required=False)
-    probe_epochs = int(probe_sec.get("epochs", 200))
-    probe_lr = float(probe_sec.get("lr", 1e-2))
-    train = _load_dataset(doc, args.config, "train")
-    test = _load_dataset(doc, args.config, "test")
+    doc, config, probe_epochs, probe_lr, train, test = _training_inputs(args)
     out_dir = _output_dir(args, "probe")
 
     seed = args.seed if args.seed is not None else config.seeds[0]
@@ -451,7 +473,9 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         model_config, np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     )
     if args.params is not None:
-        params = rebuild_with_values(params, load_values(args.params))
+        loaded = load_values(args.params)
+        _check_checkpoint(loaded, params.values(), args.params)
+        params = rebuild_with_values(params, loaded)
         source = args.params
     else:
         source = "untrained (random initialization)"
@@ -557,7 +581,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-classes", type=int, default=4)
     p.add_argument(
         "--tau", type=float, action="append", default=None,
-        help="temperature (repeatable; default 0.2 0.5 1.0)",
+        help=f"temperature (repeatable; default {FUZZ_TEMPERATURES})",
     )
     p.add_argument("--case", default=None, help="JSON file with one constructed configuration")
     p.set_defaults(func=_cmd_verify_bounds)
@@ -594,10 +618,6 @@ def build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tau", None) is not None and not args.tau:
-        args.tau = None
-    if hasattr(args, "tau") and args.tau is None:
-        args.tau = [0.2, 0.5, 1.0]
     try:
         return args.func(args)
     except TrainingDivergedError as exc:

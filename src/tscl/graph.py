@@ -20,45 +20,36 @@ class SimilarityMatrix:
     """
 
     n: int
-    temperature: float
     node: ad.DiffNode
 
     @property
     def alpha(self) -> Tensor2D:
         return self.node.value
 
-    def validate(self, tol: float = 1e-9) -> None:
-        a = self.alpha.array
-        diag = np.abs(np.diag(a))
-        if diag.max(initial=0.0) != 0.0:
-            raise InvalidGraphError(
-                f"similarity diagonal must be exactly 0, max |diag| = {diag.max()}"
-            )
-        row_err = np.abs(a.sum(axis=1) - 1.0).max()
-        if row_err > tol:
-            raise InvalidGraphError(f"similarity rows must sum to 1, max err {row_err}")
+
+def check_adjacency(a: np.ndarray) -> None:
+    """Raise unless ``a`` has an exactly zero diagonal and rows summing to 1."""
+    diag = np.abs(np.diag(a)).max(initial=0.0)
+    if diag != 0.0:
+        raise InvalidGraphError(f"adjacency diagonal must be 0, max |diag| = {diag}")
+    row_err = np.abs(a.sum(axis=1) - 1.0).max(initial=0.0)
+    if row_err > 1e-9:
+        raise InvalidGraphError(f"adjacency rows must sum to 1, max err {row_err}")
 
 
-def build_similarity(
-    h: ad.DiffNode,
-    temperature: float,
-    normalize_rows_first: bool = True,
-) -> SimilarityMatrix:
+def build_similarity(h: ad.DiffNode, temperature: float) -> SimilarityMatrix:
     """Softmax over pairwise inner products, excluding each row's own entry.
 
-    With ``normalize_rows_first`` (the default) embeddings are row
-    L2-normalized before the inner products, so similarities are cosines
-    and stay bounded at any temperature; the raw-dot variant is kept for
-    comparison.
+    Embeddings are row L2-normalized before the inner products, so
+    similarities are cosines and stay bounded at any temperature.
     """
     n = h.shape[0]
     if n < 2:
         raise BatchTooSmallError(f"similarity needs at least 2 rows, got {n}")
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    base = ad.row_l2_normalize(h) if normalize_rows_first else h
+    base = ad.row_l2_normalize(h)
     sims = ad.matmul(base, ad.transpose(base))
     alpha = ad.masked_softmax_rows(sims, excluded=np.arange(n), temperature=temperature)
-    out = SimilarityMatrix(n=n, temperature=float(temperature), node=alpha)
-    out.validate()
-    return out
+    check_adjacency(alpha.value.array)
+    return SimilarityMatrix(n=n, node=alpha)

@@ -33,6 +33,7 @@ from .losses import (
     loss_id,
     loss_mid,
     two_view_indexing,
+    zero_report,
 )
 from .metrics import MetricsReport, evaluate
 from .model import (
@@ -46,7 +47,7 @@ from .model import (
     mlp_project,
     rebuild_with_values,
 )
-from .optim import AdamConfig, adam_step, init_adam_state
+from .optim import AdamConfig, AdamState, adam_step, init_adam_state
 from .tensor import Tensor2D
 
 __all__ = [
@@ -192,8 +193,6 @@ def model_config_for(config: TrainConfig, batch: TimeSeriesBatch) -> ModelConfig
         conv_channels=config.conv_channels,
         kernel=config.kernel,
         pool_width=config.pool_width,
-        head=config.variant_spec.head,
-        self_loop=config.self_loop,
     )
 
 
@@ -301,17 +300,6 @@ def load_run_record(path: str) -> RunRecord:
 # Pretraining
 
 
-def _zero_report(name: str, components: dict[str, float]) -> LossReport:
-    """Placeholder for a disabled loss term (contributes exactly zero)."""
-    return LossReport(
-        name=name,
-        node=ad.constant(np.zeros((1, 1))),
-        per_anchor=(),
-        components=dict(components),
-        class_sums={},
-    )
-
-
 def _forward_batch(
     params: ModelParams,
     model_config: ModelConfig,
@@ -345,13 +333,13 @@ def _forward_batch(
         assert sim is not None
         mid = loss_mid(h, sim, idx)
     else:
-        mid = _zero_report("MID", {"MID": 0.0})
+        mid = zero_report("MID", {"MID": 0.0})
 
     if spec.use_id:
         assert z is not None
         instance = loss_id(z, idx, config.temperature)
     else:
-        instance = _zero_report("ID", {"ID": 0.0})
+        instance = zero_report("ID", {"ID": 0.0})
 
     if spec.use_cc:
         assert z is not None
@@ -359,13 +347,25 @@ def _forward_batch(
         logits_z = classify(z, params.classifier)
         cc = loss_cc(logits_h, logits_z, idx.labels, label_mask)
     else:
-        cc = _zero_report("CC", {"CC_h": 0.0, "CC_z": 0.0})
+        cc = zero_report("CC", {"CC_h": 0.0, "CC_z": 0.0})
 
     combined = loss_combined(
         mid, instance, cc, lambda_graph=config.lambda_graph, lambda_cls=config.lambda_cls
     )
     tracked = instance if spec.use_id else mid
     return combined, tracked
+
+
+def _adam_update(
+    adam_config: AdamConfig, state: AdamState, nodes: dict[str, ad.DiffNode]
+) -> tuple[AdamState, dict[str, Tensor2D]]:
+    """One Adam step over the gradients ``backward`` left on ``nodes``."""
+    values = {name: node.value for name, node in nodes.items()}
+    grads = {
+        name: None if node.grad is None else Tensor2D(node.grad)
+        for name, node in nodes.items()
+    }
+    return adam_step(adam_config, state, values, grads)
 
 
 def pretrain(
@@ -423,8 +423,6 @@ def pretrain(
             idx = two_view_indexing(data.labels[rows])
             label_mask = np.concatenate([data.label_mask[rows], data.label_mask[rows]])
 
-            for node in params.named().values():
-                node.grad = None
             combined, tracked = _forward_batch(
                 params, model_config, config, stacked, idx, label_mask
             )
@@ -435,11 +433,7 @@ def pretrain(
                     last_good_epoch=epoch_index,
                 )
             ad.backward(combined.node)
-            grads = {
-                name: None if node.grad is None else Tensor2D(node.grad)
-                for name, node in params.named().items()
-            }
-            state, new_values = adam_step(adam_config, state, params.values(), grads)
+            state, new_values = _adam_update(adam_config, state, params.named())
             params = rebuild_with_values(params, new_values)
 
             weight = float(idx.n)
@@ -523,20 +517,12 @@ def linear_probe(
         bias=ad.leaf(Tensor2D.zeros(1, n_classes)),
     )
     adam_config = AdamConfig(lr=lr)
-    values = {name: node.value for name, node in clf.named().items()}
-    state = init_adam_state(values)
+    state = init_adam_state({name: node.value for name, node in clf.named().items()})
     for _ in range(epochs):
-        for node in clf.named().values():
-            node.grad = None
         logits = classify(features, clf)
         loss = ad.mean(ad.cross_entropy_with_logits(logits, labels))
         ad.backward(loss)
-        grads = {
-            name: None if node.grad is None else Tensor2D(node.grad)
-            for name, node in clf.named().items()
-        }
-        values = {name: node.value for name, node in clf.named().items()}
-        state, new_values = adam_step(adam_config, state, values, grads)
+        state, new_values = _adam_update(adam_config, state, clf.named())
         clf = ClassifierParams(
             weight=ad.leaf(new_values["classifier.weight"]),
             bias=ad.leaf(new_values["classifier.bias"]),

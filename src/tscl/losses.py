@@ -1,13 +1,13 @@
 """Training objectives: contrastive, multi-instance, and consistency losses.
 
 Every loss returns a :class:`LossReport` carrying a differentiable scalar
-total (mean over anchors), the per-anchor values, and per-class sums of
-those values for the bound evaluators and the imbalance tracker.
+total (mean over anchors) and the per-anchor values with their labels,
+which the training harness averages per class for the imbalance tracker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from tscl.errors import (
     ParameterError,
 )
 from tscl.graph import SimilarityMatrix
+from tscl.tensor import as_array
 
 # Probabilities below this are clamped before log; each clamp is counted.
 UNDERFLOW_FLOOR = 1e-300
@@ -90,21 +91,25 @@ class LossReport:
     node: ad.DiffNode
     per_anchor: tuple[tuple[int, int, float], ...]
     components: dict[str, float]
-    class_sums: dict[int, float]
     flags: tuple[str, ...] = ()
     underflow_count: int = 0
-    weights: dict[str, float] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
         return float(self.node.value.array[0, 0])
 
-    def class_sum(self, y: int) -> float:
-        return self.class_sums.get(int(y), 0.0)
 
-
-def _group_sums(values: np.ndarray, labels: np.ndarray) -> dict[int, float]:
-    return {int(y): float(values[labels == y].sum()) for y in np.unique(labels)}
+def zero_report(
+    name: str, components: dict[str, float], flags: tuple[str, ...] = ()
+) -> LossReport:
+    """A term that contributes exactly zero: disabled, or with nothing to score."""
+    return LossReport(
+        name=name,
+        node=ad.constant(np.zeros((1, 1))),
+        per_anchor=(),
+        components=dict(components),
+        flags=flags,
+    )
 
 
 def _finalize(
@@ -123,20 +128,26 @@ def _finalize(
         node=ad.mean(per_node),
         per_anchor=per_anchor,
         components={name: float(values.mean())},
-        class_sums=_group_sums(values, labels),
         flags=flags,
         underflow_count=underflow_count,
     )
 
 
-def _check_unit_rows(z: ad.DiffNode, tol: float = 1e-6) -> None:
-    norms = np.linalg.norm(z.value.array, axis=1)
+def check_unit_rows(values, tol: float = 1e-6) -> np.ndarray:
+    """Embeddings (node, tensor or array-like) as a 2-D float64 array.
+
+    Raises :class:`NormalizationError` unless every row has unit L2 norm
+    within ``tol``.
+    """
+    values = as_array(values.value if isinstance(values, ad.DiffNode) else values)
+    norms = np.linalg.norm(values, axis=1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
     if bad.size:
         raise NormalizationError(
             f"embedding rows must be unit-norm within {tol}: "
             f"rows {bad[:5].tolist()} have norms {norms[bad[:5]].tolist()}"
         )
+    return values
 
 
 def _scaled_similarities(z: ad.DiffNode, temperature: float) -> ad.DiffNode:
@@ -151,7 +162,7 @@ def loss_uc(
     z: ad.DiffNode, idx: BatchIndexing, temperature: float, name: str = "UC"
 ) -> LossReport:
     """One-positive contrastive loss over all |B|-1 candidates per anchor."""
-    _check_unit_rows(z)
+    check_unit_rows(z)
     n = z.shape[0]
     if idx.n != n:
         raise DimensionError(f"indexing covers {idx.n} rows but batch has {n}")
@@ -172,7 +183,7 @@ def loss_id(z: ad.DiffNode, idx: BatchIndexing, temperature: float) -> LossRepor
 
 def loss_sc(z: ad.DiffNode, idx: BatchIndexing, temperature: float) -> LossReport:
     """Supervised contrastive loss: per anchor, mean over same-class positives."""
-    _check_unit_rows(z)
+    check_unit_rows(z)
     n = z.shape[0]
     if idx.n != n:
         raise DimensionError(f"indexing covers {idx.n} rows but batch has {n}")
@@ -195,14 +206,11 @@ def loss_mid(
     h: ad.DiffNode,
     sim: SimilarityMatrix,
     idx: BatchIndexing | None = None,
-    weighted: bool = False,
 ) -> LossReport:
     """Multi-instance discrimination: push similarity mass onto every peer.
 
-    The default target is uniform over the n-1 other instances, evaluated
-    literally as -(1/(n-1)) * sum(log alpha_ij). The ``weighted`` variant
-    replaces the uniform target with the detached similarity row itself;
-    it is off by default.
+    The target is uniform over the n-1 other instances, evaluated
+    literally as -(1/(n-1)) * sum(log alpha_ij).
     """
     n = sim.n
     if h.shape[0] != n:
@@ -212,11 +220,7 @@ def loss_mid(
     underflow = int(np.count_nonzero(off_diag < UNDERFLOW_FLOOR))
     flags = ("underflow_clamped",) if underflow else ()
     guarded = ad.clamp_min(ad.add(sim.node, ad.constant(np.eye(n))), UNDERFLOW_FLOOR)
-    logs = ad.log(guarded)
-    if weighted:
-        per = ad.scale(ad.row_sum(ad.mul_elem(logs, a)), -1.0)
-    else:
-        per = ad.scale(ad.row_sum(logs), -1.0 / (n - 1))
+    per = ad.scale(ad.row_sum(ad.log(guarded)), -1.0 / (n - 1))
     labels = idx.labels if idx is not None else np.full(n, -1, dtype=np.int64)
     return _finalize("MID", per, labels, flags=flags, underflow_count=underflow)
 
@@ -247,14 +251,7 @@ def loss_cc(
         )
     labeled = np.flatnonzero(mask)
     if labeled.size == 0:
-        return LossReport(
-            name="CC",
-            node=ad.constant(np.zeros((1, 1))),
-            per_anchor=(),
-            components={"CC_h": 0.0, "CC_z": 0.0},
-            class_sums={},
-            flags=("no_labels",),
-        )
+        return zero_report("CC", {"CC_h": 0.0, "CC_z": 0.0}, flags=("no_labels",))
     picked = labels[labeled]
     ce_h = ad.cross_entropy_with_logits(ad.take_rows(logits_h, labeled), picked)
     ce_z = ad.cross_entropy_with_logits(ad.take_rows(logits_z, labeled), picked)
@@ -272,7 +269,6 @@ def loss_cc(
             "CC_h": float(mean_h.value.array[0, 0]),
             "CC_z": float(mean_z.value.array[0, 0]),
         },
-        class_sums=_group_sums(both, picked),
     )
 
 
@@ -303,12 +299,10 @@ def loss_combined(
         node=node,
         per_anchor=(),
         components=components,
-        class_sums={},
         flags=tuple(sorted(set(mid.flags + instance.flags + cc.flags))),
         underflow_count=mid.underflow_count
         + instance.underflow_count
         + cc.underflow_count,
-        weights={"lambda_graph": lambda_graph, "lambda_cls": lambda_cls},
     )
     expected = lambda_graph * (components["MID"] + components["ID"]) + lambda_cls * (
         components["CC_h"] + components["CC_z"]

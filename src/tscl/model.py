@@ -17,7 +17,7 @@ import numpy as np
 from tscl import autodiff as ad
 from tscl.augment import TimeSeriesBatch
 from tscl.errors import DimensionError, InvalidGraphError, ParameterError
-from tscl.graph import SimilarityMatrix
+from tscl.graph import SimilarityMatrix, check_adjacency
 from tscl.tensor import Tensor2D
 
 
@@ -32,12 +32,8 @@ class ModelConfig:
     conv_channels: tuple[int, int] = (16, 32)
     kernel: int = 8
     pool_width: int = 2
-    head: str = "gcn"
-    self_loop: bool = False
 
     def __post_init__(self) -> None:
-        if self.head not in ("gcn", "mlp"):
-            raise ParameterError(f"head must be 'gcn' or 'mlp', got {self.head!r}")
         if min(
             self.in_channels,
             self.length,
@@ -45,6 +41,7 @@ class ModelConfig:
             self.n_classes,
             self.kernel,
             self.pool_width,
+            *self.conv_channels,
         ) < 1:
             raise ParameterError("all architecture sizes must be positive")
 
@@ -242,17 +239,11 @@ def _adjacency_node(alpha, n_rows: int) -> ad.DiffNode:
         node = alpha
     else:
         node = ad.constant(np.asarray(alpha, dtype=np.float64))
-    a = node.value.array
-    if a.shape != (n_rows, n_rows):
+    if node.shape != (n_rows, n_rows):
         raise InvalidGraphError(
-            f"adjacency shape {a.shape} does not match batch size {n_rows}"
+            f"adjacency shape {node.shape} does not match batch size {n_rows}"
         )
-    diag = np.abs(np.diag(a)).max(initial=0.0)
-    if diag > 0.0:
-        raise InvalidGraphError(f"adjacency diagonal must be 0, max |diag| = {diag}")
-    row_err = np.abs(a.sum(axis=1) - 1.0).max(initial=0.0)
-    if row_err > 1e-9:
-        raise InvalidGraphError(f"adjacency rows must sum to 1, max err {row_err}")
+    check_adjacency(node.value.array)
     return node
 
 

@@ -54,17 +54,6 @@ class Tensor2D:
     def zeros(cls, rows: int, cols: int) -> "Tensor2D":
         return cls(np.zeros((rows, cols)))
 
-    @classmethod
-    def full(cls, rows: int, cols: int, value: float) -> "Tensor2D":
-        return cls(np.full((rows, cols), float(value)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Tensor2D":
-        return cls(np.eye(n))
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.array).all())
-
     def __repr__(self) -> str:
         return f"Tensor2D({self.rows}x{self.cols})"
 
@@ -85,6 +74,19 @@ def as_array(x) -> np.ndarray:
     return a
 
 
+def keep_mask(n: int, m: int, excluded: Optional[np.ndarray]) -> np.ndarray:
+    """(n, m) boolean mask, False at the one ``excluded`` column of each row."""
+    keep = np.ones((n, m), dtype=bool)
+    if excluded is not None:
+        idx = np.asarray(excluded, dtype=np.intp)
+        if idx.shape != (n,):
+            raise DimensionError(
+                f"excluded-index mask must have shape ({n},), got {idx.shape}"
+            )
+        keep[np.arange(n), idx] = False
+    return keep
+
+
 def softmax_row(
     x,
     mask: Optional[np.ndarray] = None,
@@ -99,15 +101,7 @@ def softmax_row(
     a = as_array(x)
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    n, m = a.shape
-    keep = np.ones((n, m), dtype=bool)
-    if mask is not None:
-        idx = np.asarray(mask, dtype=np.intp)
-        if idx.shape != (n,):
-            raise DimensionError(
-                f"mask must hold one excluded index per row: expected ({n},), got {idx.shape}"
-            )
-        keep[np.arange(n), idx] = False
+    keep = keep_mask(*a.shape, mask)
     scaled = a / float(temperature)
     shifted = scaled - np.max(np.where(keep, scaled, -np.inf), axis=1, keepdims=True)
     e = np.where(keep, np.exp(shifted), 0.0)

@@ -255,3 +255,37 @@ class TestFuzz:
     def test_infeasible_ranges_rejected(self):
         with pytest.raises(ParameterError, match="infeasible"):
             fuzz_bounds(configurations=10, max_batch=2)
+
+    @pytest.mark.parametrize("equality_tol", [1e-12, 0.3])
+    def test_equality_summary_matches_recount(self, equality_tol):
+        # Redraw the sweep's configurations from the same stream and judge
+        # each class's equality conditions directly at ``equality_tol``.
+        configurations, seed, temperatures = 200, 5, (0.2, 0.5, 1.0)
+        summary = fuzz_bounds(
+            configurations=configurations, seed=seed, equality_tol=equality_tol
+        )
+        rng = np.random.default_rng(seed)
+        count, worst = 0, -np.inf
+        for _ in range(configurations):
+            pairs = int(rng.integers(2, 9))
+            dim = int(rng.integers(1, 9))
+            n_classes = int(rng.integers(2, 5))
+            view_labels = rng.integers(0, n_classes, size=pairs)
+            if np.unique(view_labels).size < 2:
+                view_labels[0] = (view_labels[0] + 1) % n_classes
+            idx = two_view_indexing(view_labels)
+            z = rng.standard_normal((2 * pairs, dim))
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            sims = z @ z.T
+            for tau in temperatures:
+                for y in np.unique(idx.labels):
+                    eq = equality_conditions_from_sims(
+                        sims, idx, int(y), tol=equality_tol
+                    )
+                    if not eq.both:
+                        continue
+                    for builder in (bound_sc_from_sims, bound_uc_from_sims):
+                        count += 1
+                        worst = max(worst, builder(sims, idx, int(y), tau).slack)
+        assert summary.equality_evaluations == count > 0
+        assert summary.worst_equality_slack == worst

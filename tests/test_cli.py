@@ -189,6 +189,19 @@ def test_pretrain_divergence_exits_two(workspace, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_pretrain_jobs_two_writes_same_bytes_as_jobs_one(workspace, pretrain_run):
+    out = workspace["root"] / "run_jobs2"
+    code = run_cli(
+        ["pretrain", "--config", str(workspace["config"]), "--out", str(out),
+         "--jobs", "2"]
+    )
+    assert code == 0
+    for seed in (0, 1):
+        for name in (f"record_seed{seed}.json", f"class_losses_seed{seed}.csv",
+                     f"params_seed{seed}.json"):
+            assert (out / name).read_bytes() == (pretrain_run / name).read_bytes()
+
+
 def test_probe_checkpoint_and_untrained(workspace, pretrain_run):
     out = workspace["root"] / "probe_ckpt"
     code = run_cli(
@@ -206,6 +219,32 @@ def test_probe_checkpoint_and_untrained(workspace, pretrain_run):
     )
     assert code == 0
     assert json.loads((out2 / "metrics.json").read_text())["params"].startswith("untrained")
+
+
+def test_probe_checkpoint_missing_array_exits_one(workspace, pretrain_run, capsys):
+    payload = json.loads((pretrain_run / "params_seed0.json").read_text())
+    del payload["arrays"]["projection.w1"]
+    ckpt = workspace["root"] / "params_missing.json"
+    ckpt.write_text(json.dumps(payload))
+    code = run_cli(
+        ["probe", "--config", str(workspace["config"]), "--params", str(ckpt),
+         "--out", str(workspace["root"] / "probe_missing")]
+    )
+    assert code == 1
+    assert "missing projection.w1" in capsys.readouterr().err
+
+
+def test_probe_checkpoint_of_other_width_exits_one(workspace, pretrain_run, capsys):
+    # The checkpoint was trained at embed_dim 8; the probed model has 16.
+    code = run_cli(
+        ["probe", "--config", str(workspace["config"]),
+         "--params", str(pretrain_run / "params_seed0.json"),
+         "--set", "train.embed_dim=16", "--out", str(workspace["root"] / "probe_wide")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "projection.w1 has shape (8, 8), the model needs (16, 16)" in err
+    assert "encoder.linear.weight has shape" in err
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +310,27 @@ def test_unknown_train_field_exits_one(workspace, capsys):
     )
     assert code == 1
     assert "unknown config fields" in capsys.readouterr().err
+
+
+def test_nonpositive_conv_channel_exits_one(workspace, capsys):
+    code = run_cli(
+        ["pretrain", "--config", str(workspace["config"]),
+         "--out", str(workspace["root"] / "conv0"),
+         "--set", "train.conv_channels=[0,32]"]
+    )
+    assert code == 1
+    assert "architecture sizes must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["pretrain", "probe"])
+def test_malformed_probe_section_exits_one(workspace, subcommand, capsys):
+    code = run_cli(
+        [subcommand, "--config", str(workspace["config"]),
+         "--out", str(workspace["root"] / f"bad_probe_{subcommand}"),
+         "--set", "probe.epochs=[5]"]
+    )
+    assert code == 1
+    assert "probe section" in capsys.readouterr().err
 
 
 def test_no_subcommand_is_usage_error():

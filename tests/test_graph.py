@@ -64,19 +64,6 @@ def test_high_temperature_flattens_to_uniform():
     npt.assert_allclose(off, np.full(off.shape, 1.0 / (n - 1)), atol=1e-6)
 
 
-def test_unnormalized_variant_uses_raw_dots():
-    x = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
-    tau = 1.0
-    sim = build_similarity(ad.leaf(x), temperature=tau, normalize_rows_first=False)
-    gram = x @ x.T
-    expected = np.zeros((3, 3))
-    for i in range(3):
-        w = np.exp(gram[i] / tau)
-        w[i] = 0.0
-        expected[i] = w / w.sum()
-    npt.assert_allclose(sim.alpha.array, expected, atol=1e-12)
-
-
 def test_rejects_degenerate_inputs():
     with pytest.raises(BatchTooSmallError):
         build_similarity(ad.leaf(np.ones((1, 3))), temperature=0.5)

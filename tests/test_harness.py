@@ -117,7 +117,6 @@ def test_config_dict_round_trip():
 def test_model_config_inference(balanced_data):
     mc = model_config_for(small_config(variant="mlp_id"), balanced_data)
     assert mc.n_classes == 4
-    assert mc.head == "mlp"
     assert mc.in_channels == balanced_data.channels
     assert mc.length == balanced_data.length
 
