@@ -391,9 +391,9 @@ def conv1d(
     x3 = x.array.reshape(n, channels, length)
     padded = np.zeros((n, channels, length + k - 1))
     padded[:, :, pad_left : pad_left + length] = x3
-    pos = np.arange(length)[:, None] + np.arange(k)[None, :]  # (L, k)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=2)
     # (n, channels, L, k) -> (n, L, channels, k) -> (n*L, channels*k)
-    patches = padded[:, :, pos].transpose(0, 2, 1, 3).reshape(n * length, channels * k)
+    patches = windows.transpose(0, 2, 1, 3).reshape(n * length, channels * k)
     out2 = patches @ wv.T  # (n*L, c_out)
     out = out2.reshape(n, length, c_out).transpose(0, 2, 1).reshape(n, c_out * length)
     if b is not None:
@@ -403,10 +403,11 @@ def conv1d(
         return g.reshape(n, c_out, length).transpose(0, 2, 1).reshape(n * length, c_out)
 
     def pull_x(g: np.ndarray) -> np.ndarray:
-        dpatches = reshape_grad(g) @ wv  # (n*L, channels*k)
-        d4 = dpatches.reshape(n, length, channels, k).transpose(0, 2, 1, 3)
+        d4 = (reshape_grad(g) @ wv).reshape(n, length, channels, k).transpose(0, 2, 3, 1)
+        d4 = np.ascontiguousarray(d4)  # (n, channels, k, L): contiguous slice reads
         dpadded = np.zeros_like(padded)
-        np.add.at(dpadded, (slice(None), slice(None), pos), d4)
+        for j in range(k - 1, -1, -1):  # descending j: np.add.at's summation order
+            dpadded[:, :, j : j + length] += d4[:, :, j]
         return dpadded[:, :, pad_left : pad_left + length].reshape(n, channels * length)
 
     def pull_w(g: np.ndarray) -> np.ndarray:
@@ -422,7 +423,7 @@ def max_pool1d(x: DiffNode, channels: int, length: int, width: int) -> DiffNode:
     """Non-overlapping max pooling along time; the last window may be short.
 
     Ties resolve to the earliest timestep, so the backward scatter is
-    deterministic.
+    deterministic; a NaN in a window wins, as under ``argmax``.
     """
     if width < 1:
         raise ParameterError(f"pool width must be >= 1, got {width}")
@@ -432,24 +433,26 @@ def max_pool1d(x: DiffNode, channels: int, length: int, width: int) -> DiffNode:
             f"max_pool1d input width {total} != channels*length = {channels}*{length}"
         )
     out_len = math.ceil(length / width)
+    span = out_len * width
     x3 = x.array.reshape(n, channels, length)
-    out3 = np.empty((n, channels, out_len))
-    argpos = np.empty((n, channels, out_len), dtype=np.intp)
-    for t in range(out_len):
-        s, e = t * width, min((t + 1) * width, length)
-        seg = x3[:, :, s:e]
-        arg = seg.argmax(axis=2)
-        argpos[:, :, t] = s + arg
-        out3[:, :, t] = np.take_along_axis(seg, arg[:, :, None], axis=2)[:, :, 0]
+    if span != length:
+        x3 = np.pad(x3, ((0, 0), (0, 0), (0, span - length)), constant_values=-np.inf)
+    windows = x3.reshape(n, channels, out_len, width)
+    best = windows[..., 0]
+    arg = np.zeros((n, channels, out_len), dtype=np.intp)
+    for offset in range(1, width):
+        cand = windows[..., offset]
+        # strict ">" keeps ties on the earliest step; the first NaN wins, as in argmax
+        take = (cand > best) | (np.isnan(cand) & ~np.isnan(best))
+        best = np.where(take, cand, best)
+        arg = np.where(take, offset, arg)
 
     def pull(g: np.ndarray) -> np.ndarray:
-        g3 = g.reshape(n, channels, out_len)
-        dx3 = np.zeros((n, channels, length))
-        ii, cc = np.meshgrid(np.arange(n), np.arange(channels), indexing="ij")
-        for t in range(out_len):
-            dx3[ii, cc, argpos[:, :, t]] += g3[:, :, t]
-        return dx3.reshape(n, channels * length)
+        flat = np.arange(n * channels * out_len) * width + arg.reshape(-1)
+        dx = np.zeros(n * channels * span)
+        dx[flat] += g.reshape(-1)
+        return dx.reshape(n, channels, span)[:, :, :length].reshape(n, channels * length)
 
     return DiffNode(
-        Tensor2D(out3.reshape(n, channels * out_len)), parents=[(x, pull)], op="max_pool1d"
+        Tensor2D(best.reshape(n, channels * out_len)), parents=[(x, pull)], op="max_pool1d"
     )

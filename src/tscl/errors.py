@@ -42,7 +42,8 @@ class ParseError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss; carries the last good epoch."""
+    """Training produced a non-finite loss, gradient or parameter value;
+    carries the last good epoch."""
 
     def __init__(self, message: str, last_good_epoch: int):
         super().__init__(message)

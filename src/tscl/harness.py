@@ -368,6 +368,17 @@ def _adam_update(
     return adam_step(adam_config, state, values, grads)
 
 
+def _raise_if_non_finite(
+    kind: str, arrays: dict[str, Optional[np.ndarray]], epoch_index: int
+) -> None:
+    for name, array in arrays.items():
+        if array is not None and not np.isfinite(array).all():
+            raise TrainingDivergedError(
+                f"non-finite {kind} of {name} in epoch {epoch_index + 1}",
+                last_good_epoch=epoch_index,
+            )
+
+
 def pretrain(
     config: TrainConfig, data: TimeSeriesBatch, seed: Optional[int] = None
 ) -> tuple[ModelParams, RunRecord]:
@@ -375,8 +386,9 @@ def pretrain(
 
     ``seed`` picks the run seed (default: the first entry of
     ``config.seeds``).  Raises :class:`TrainingDivergedError` as soon as any
-    batch produces a non-finite combined loss; the exception carries the
-    index of the last epoch that completed cleanly.
+    batch produces a non-finite combined loss, parameter gradient or updated
+    parameter value; the exception carries the index of the last epoch that
+    completed cleanly.
     """
     if data.n < 2:
         raise ParameterError(f"need at least 2 samples to train, got {data.n}")
@@ -433,7 +445,14 @@ def pretrain(
                     last_good_epoch=epoch_index,
                 )
             ad.backward(combined.node)
-            state, new_values = _adam_update(adam_config, state, params.named())
+            nodes = params.named()
+            _raise_if_non_finite(
+                "gradient", {name: node.grad for name, node in nodes.items()}, epoch_index
+            )
+            state, new_values = _adam_update(adam_config, state, nodes)
+            _raise_if_non_finite(
+                "value", {name: v.array for name, v in new_values.items()}, epoch_index
+            )
             params = rebuild_with_values(params, new_values)
 
             weight = float(idx.n)

@@ -300,16 +300,36 @@ def save_values(values: dict[str, Tensor2D], path: str | Path) -> None:
 
 
 def load_values(path: str | Path) -> dict[str, Tensor2D]:
+    """Read a ``save_values`` checkpoint; a malformed one raises ParameterError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != "tscl-params-v1":
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != "tscl-params-v1":
+        raise ParameterError(f"unrecognized checkpoint format {fmt!r} in {path}")
+    arrays = payload.get("arrays")
+    if not isinstance(arrays, dict):
+        raise ParameterError(f"{path}: checkpoint has no 'arrays' object")
+    return {
+        name: _checkpoint_array(entry, f"{path}: array {name!r}")
+        for name, entry in arrays.items()
+    }
+
+
+def _checkpoint_array(entry, where: str) -> Tensor2D:
+    if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+        raise ParameterError(f"{where} needs both 'shape' and 'data'")
+    shape, data = entry["shape"], entry["data"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(type(v) is int and v >= 0 for v in shape)
+    ):
+        raise ParameterError(f"{where} has shape {shape!r}, not two non-negative ints")
+    if not isinstance(data, list) or not all(type(v) in (int, float) for v in data):
+        raise ParameterError(f"{where} data is not a flat list of numbers")
+    rows, cols = shape
+    if len(data) != rows * cols:
         raise ParameterError(
-            f"unrecognized checkpoint format {payload.get('format')!r} in {path}"
+            f"{where} has {len(data)} values, its shape {rows}x{cols} needs {rows * cols}"
         )
-    out: dict[str, Tensor2D] = {}
-    for name, entry in payload["arrays"].items():
-        rows, cols = entry["shape"]
-        out[name] = Tensor2D(
-            np.array(entry["data"], dtype=np.float64).reshape(rows, cols)
-        )
-    return out
+    return Tensor2D(np.array(data, dtype=np.float64).reshape(rows, cols))

@@ -206,6 +206,134 @@ class TestConvAndPool:
         )
 
 
+# Reference kernels: conv1d and max_pool1d as first written, with an
+# np.add.at scatter and per-window loops.  The fast kernels must match them
+# bit for bit, forward and in every pullback.
+
+
+def _oracle_conv1d(x, w, b, channels, length, g):
+    """(output, dx, dw, db) for upstream gradient ``g``."""
+    n = x.shape[0]
+    c_out, wcols = w.shape
+    k = wcols // channels
+    pad_left = (k - 1) // 2
+    padded = np.zeros((n, channels, length + k - 1))
+    padded[:, :, pad_left : pad_left + length] = x.reshape(n, channels, length)
+    pos = np.arange(length)[:, None] + np.arange(k)[None, :]
+    patches = padded[:, :, pos].transpose(0, 2, 1, 3).reshape(n * length, channels * k)
+    out2 = patches @ w.T
+    out = out2.reshape(n, length, c_out).transpose(0, 2, 1).reshape(n, c_out * length)
+    out = out + np.repeat(b[0], length)[None, :]
+    g2 = g.reshape(n, c_out, length).transpose(0, 2, 1).reshape(n * length, c_out)
+    d4 = (g2 @ w).reshape(n, length, channels, k).transpose(0, 2, 1, 3)
+    dpadded = np.zeros_like(padded)
+    np.add.at(dpadded, (slice(None), slice(None), pos), d4)
+    dx = dpadded[:, :, pad_left : pad_left + length].reshape(n, channels * length)
+    return out, dx, g2.T @ patches, g2.sum(axis=0, keepdims=True)
+
+
+def _oracle_max_pool1d(x, channels, length, width, g):
+    """(output, dx) for upstream gradient ``g``."""
+    n = x.shape[0]
+    out_len = -(-length // width)
+    x3 = x.reshape(n, channels, length)
+    out3 = np.empty((n, channels, out_len))
+    argpos = np.empty((n, channels, out_len), dtype=np.intp)
+    for t in range(out_len):
+        s, e = t * width, min((t + 1) * width, length)
+        seg = x3[:, :, s:e]
+        arg = seg.argmax(axis=2)
+        argpos[:, :, t] = s + arg
+        out3[:, :, t] = np.take_along_axis(seg, arg[:, :, None], axis=2)[:, :, 0]
+    g3 = g.reshape(n, channels, out_len)
+    dx3 = np.zeros((n, channels, length))
+    ii, cc = np.meshgrid(np.arange(n), np.arange(channels), indexing="ij")
+    for t in range(out_len):
+        dx3[ii, cc, argpos[:, :, t]] += g3[:, :, t]
+    return out3.reshape(n, channels * out_len), dx3.reshape(n, channels * length)
+
+
+def _pullbacks(node, g):
+    """Each parent's contribution for upstream gradient ``g``."""
+    return [pull(g) for _, pull in node.parents]
+
+
+class TestKernelParity:
+    @pytest.mark.parametrize(
+        "n, channels, length, c_out, k",
+        [
+            (3, 2, 9, 4, 1),
+            (3, 2, 9, 4, 2),
+            (3, 2, 9, 4, 3),
+            (3, 2, 9, 4, 8),
+            (2, 3, 3, 2, 8),  # length < k
+            (1, 1, 16, 5, 8),
+            (1, 2, 5, 3, 3),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_conv1d_bit_identical(self, n, channels, length, c_out, k, seed):
+        rng = np.random.default_rng([seed, n, channels, length, c_out, k])
+        x = randn(rng, n, channels * length)
+        w = randn(rng, c_out, channels * k)
+        b = randn(rng, 1, c_out)
+        g = randn(rng, n, c_out * length)
+        node = ad.conv1d(ad.leaf(x), ad.leaf(w), ad.leaf(b), channels, length)
+        expected = _oracle_conv1d(x, w, b, channels, length, g)
+        actual = [node.array, *_pullbacks(node, g)]
+        for got, want in zip(actual, expected):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "n, channels, length, width",
+        [
+            (3, 2, 6, 1),
+            (3, 2, 5, 2),
+            (3, 2, 7, 2),
+            (3, 2, 5, 3),
+            (3, 2, 7, 3),
+            (2, 3, 8, 2),
+            (1, 1, 4, 8),  # a single short window
+        ],
+    )
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_max_pool1d_bit_identical(self, n, channels, length, width, ties):
+        rng = np.random.default_rng([n, channels, length, width, int(ties)])
+        x = randn(rng, n, channels * length)
+        if ties:
+            x = np.round(x * 2.0) / 2.0
+        out_len = -(-length // width)
+        g = randn(rng, n, channels * out_len)
+        node = ad.max_pool1d(ad.leaf(x), channels, length, width)
+        expected = _oracle_max_pool1d(x, channels, length, width, g)
+        actual = [node.array, *_pullbacks(node, g)]
+        for got, want in zip(actual, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_tied_maxima_route_gradient_to_earliest_step(self):
+        x = np.array([[2.0, 2.0, 1.0, -1.0, -1.0, -1.0]])
+        node = ad.max_pool1d(ad.leaf(x), channels=1, length=6, width=3)
+        (dx,) = _pullbacks(node, np.array([[1.0, 10.0]]))
+        np.testing.assert_array_equal(dx, [[1.0, 0.0, 0.0, 10.0, 0.0, 0.0]])
+
+    def test_nan_in_pool_window_wins_like_argmax(self):
+        x = np.array([[1.0, np.nan, 3.0, 2.0, np.nan, np.nan]])
+        node = ad.max_pool1d(ad.leaf(x), channels=1, length=6, width=2)
+        np.testing.assert_array_equal(node.array, [[np.nan, 3.0, np.nan]])
+        (dx,) = _pullbacks(node, np.array([[1.0, 2.0, 3.0]]))
+        np.testing.assert_array_equal(dx, [[0.0, 1.0, 2.0, 0.0, 3.0, 0.0]])
+        out, odx = _oracle_max_pool1d(x, 1, 6, 2, np.array([[1.0, 2.0, 3.0]]))
+        np.testing.assert_array_equal(node.array, out)
+        np.testing.assert_array_equal(dx, odx)
+
+    def test_nan_beats_numbers_in_a_width_two_window(self):
+        x = np.array([[1.0, np.nan, 3.0, 2.0]])
+        node = ad.max_pool1d(ad.leaf(x), channels=1, length=4, width=2)
+        np.testing.assert_array_equal(node.array, [[np.nan, 3.0]])
+        (dx,) = _pullbacks(node, np.array([[5.0, 7.0]]))
+        np.testing.assert_array_equal(dx, [[0.0, 5.0, 7.0, 0.0]])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_finite_difference_suite(seed):
     """Every differentiable primitive vs central differences, rel err < 1e-4."""

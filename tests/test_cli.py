@@ -234,6 +234,26 @@ def test_probe_checkpoint_missing_array_exits_one(workspace, pretrain_run, capsy
     assert "missing projection.w1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("drop", ["arrays", "shape"])
+def test_probe_malformed_checkpoint_exits_one(workspace, pretrain_run, capsys, drop):
+    payload = json.loads((pretrain_run / "params_seed0.json").read_text())
+    if drop == "arrays":
+        del payload["arrays"]
+    else:
+        del payload["arrays"]["projection.w1"]["shape"]
+    ckpt = workspace["root"] / f"params_no_{drop}.json"
+    ckpt.write_text(json.dumps(payload))
+    code = run_cli(
+        ["probe", "--config", str(workspace["config"]), "--params", str(ckpt),
+         "--out", str(workspace["root"] / f"probe_no_{drop}")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err
+    if drop == "shape":
+        assert "array 'projection.w1' needs both 'shape' and 'data'" in err
+
+
 def test_probe_checkpoint_of_other_width_exits_one(workspace, pretrain_run, capsys):
     # The checkpoint was trained at embed_dim 8; the probed model has 16.
     code = run_cli(

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tscl import harness
 from tscl.augment import AugmentParams, TimeSeriesBatch
 from tscl.data import SynthSpec, generate, split_labels, stratified_split
 from tscl.errors import ParameterError, TrainingDivergedError
@@ -28,6 +29,7 @@ from tscl.harness import (
 )
 from tscl.model import init_model, save_values
 from tscl.optim import AdamConfig
+from tscl.tensor import Tensor2D
 
 IDENTITY_AUGMENT = AugmentParams(
     weak_jitter=0.0, weak_scale=0.0, strong_jitter=0.0, max_segments=1
@@ -212,6 +214,68 @@ def test_divergence_aborts_with_last_good_epoch():
             pretrain(config, data, seed=1)
     assert excinfo.value.last_good_epoch == 0
     assert "epoch 1" in str(excinfo.value)
+
+
+def _three_step_epochs():
+    """Data and config for 3-epoch training with 3 steps per epoch."""
+    data = generate(
+        SynthSpec(class_counts=(12, 12), length=16, channels=1, noise_sigma=0.05, seed=0)
+    )
+    config = TrainConfig(
+        variant="full", epochs=3, batch_size=8, embed_dim=4, conv_channels=(4,),
+        seeds=(1,),
+    )
+    return data, config
+
+
+def test_non_finite_gradient_aborts_naming_the_parameter(monkeypatch):
+    data, config = _three_step_epochs()
+    current = {}
+
+    def keep(fn):
+        def wrapped(*args, **kwargs):
+            current["params"] = fn(*args, **kwargs)
+            return current["params"]
+        return wrapped
+
+    real_backward = harness.ad.backward
+    calls = []
+
+    def poisoned_backward(node):
+        real_backward(node)
+        calls.append(node)
+        if len(calls) == 4:  # the first step of epoch 2
+            leaf = current["params"].encoder.conv_weights[0]
+            leaf.grad = np.where(leaf.grad > 0, np.nan, leaf.grad)
+
+    monkeypatch.setattr(harness, "init_model", keep(harness.init_model))
+    monkeypatch.setattr(harness, "rebuild_with_values", keep(harness.rebuild_with_values))
+    monkeypatch.setattr(harness.ad, "backward", poisoned_backward)
+    with pytest.raises(TrainingDivergedError) as excinfo:
+        pretrain(config, data, seed=1)
+    assert excinfo.value.last_good_epoch == 1
+    assert str(excinfo.value) == "non-finite gradient of encoder.conv0.weight in epoch 2"
+
+
+def test_non_finite_value_after_adam_aborts_naming_the_parameter(monkeypatch):
+    data, config = _three_step_epochs()
+    real_step = harness.adam_step
+    calls = []
+
+    def poisoned_step(*args, **kwargs):
+        state, values = real_step(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 8:  # the second step of epoch 3
+            bad = values["projection.w2"].array.copy()
+            bad[0, 0] = np.inf
+            values = {**values, "projection.w2": Tensor2D(bad)}
+        return state, values
+
+    monkeypatch.setattr(harness, "adam_step", poisoned_step)
+    with pytest.raises(TrainingDivergedError) as excinfo:
+        pretrain(config, data, seed=1)
+    assert excinfo.value.last_good_epoch == 2
+    assert str(excinfo.value) == "non-finite value of projection.w2 in epoch 3"
 
 
 def test_single_leftover_sample_is_dropped():

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from tscl import autodiff as ad
 from tscl.augment import TimeSeriesBatch
-from tscl.errors import DimensionError, InvalidGraphError
+from tscl.errors import DimensionError, InvalidGraphError, ParameterError
 from tscl.graph import build_similarity
 from tscl.model import (
     ClassifierParams,
@@ -252,6 +254,47 @@ class TestCheckpoints:
         loaded = load_values(path)
         for name, tensor in params.values().items():
             npt.assert_array_equal(loaded[name].array, tensor.array)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"format": "tscl-params-v1"}, "no 'arrays' object"),
+            ({"format": "tscl-params-v1", "arrays": [1, 2]}, "no 'arrays' object"),
+            ({"format": "tscl-params-v1", "arrays": {"w": {"data": [1.0]}}},
+             "array 'w' needs both 'shape' and 'data'"),
+            ({"format": "tscl-params-v1", "arrays": {"w": {"shape": [1, 1]}}},
+             "array 'w' needs both 'shape' and 'data'"),
+            ({"format": "tscl-params-v1", "arrays": {"w": 3.0}},
+             "array 'w' needs both 'shape' and 'data'"),
+            ({"format": "tscl-params-v1", "arrays": {"w": {"shape": [1], "data": [1.0]}}},
+             r"array 'w' has shape \[1\], not two non-negative ints"),
+            ({"format": "tscl-params-v1",
+              "arrays": {"w": {"shape": [1, -1], "data": []}}},
+             "not two non-negative ints"),
+            ({"format": "tscl-params-v1",
+              "arrays": {"w": {"shape": [1.0, 2], "data": [1.0, 2.0]}}},
+             "not two non-negative ints"),
+            ({"format": "tscl-params-v1",
+              "arrays": {"w": {"shape": [True, 2], "data": [1.0, 2.0]}}},
+             "not two non-negative ints"),
+            ({"format": "tscl-params-v1",
+              "arrays": {"w": {"shape": [2, 2], "data": [1.0, 2.0, 3.0]}}},
+             "array 'w' has 3 values, its shape 2x2 needs 4"),
+            ({"format": "tscl-params-v1",
+              "arrays": {"w": {"shape": [1, 2], "data": [1.0, "x"]}}},
+             "not a flat list of numbers"),
+            ({"format": "tscl-params-v1",
+              "arrays": {"w": {"shape": [1, 2], "data": [[1.0, 2.0]]}}},
+             "not a flat list of numbers"),
+            ([1, 2], "unrecognized checkpoint format None"),
+        ],
+    )
+    def test_malformed_checkpoint_names_file_and_entry(self, tmp_path, payload, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParameterError, match=message) as info:
+            load_values(path)
+        assert str(path) in str(info.value)
 
     def test_rebuild_preserves_structure_and_swaps_values(self):
         config = _config()
