@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from tscl.errors import (
     DegenerateClassError,
+    DegenerateInputError,
     DimensionError,
     ParameterError,
     UndefinedBoundError,
@@ -89,16 +91,29 @@ class BoundReport:
 
 
 def _prepare(
-    sims: np.ndarray, idx: BatchIndexing, class_index: int, temperature: float
+    sims: np.ndarray,
+    idx: BatchIndexing,
+    class_index: int,
+    temperatures: tuple[float, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked class-level inputs: float sims, member rows, complement rows.
+
+    Every temperature the caller will scale ``sims`` by is checked here,
+    so a bound never silently turns into NaN or a division by infinity.
+    """
     sims = np.asarray(sims, dtype=np.float64)
     n = idx.n
     if sims.shape != (n, n):
         raise DimensionError(
             f"similarity matrix shape {sims.shape} does not match batch size {n}"
         )
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
+    if not np.isfinite(sims).all():
+        raise DegenerateInputError("similarity matrix has non-finite entries")
+    for temperature in temperatures:
+        if not (math.isfinite(temperature) and temperature > 0):
+            raise ParameterError(
+                f"temperature must be positive and finite, got {temperature}"
+            )
     members = np.flatnonzero(idx.labels == class_index)
     if members.size < 2:
         raise DegenerateClassError(
@@ -114,20 +129,78 @@ def _prepare(
     return sims, members, complement
 
 
+def _max_spread(groups: np.ndarray) -> float:
+    """Largest max-minus-min over the rows of ``groups``.
+
+    A single value has no spread, so a one-column group gives 0.0 and its
+    condition holds vacuously.
+    """
+    return float((groups.max(axis=1) - groups.min(axis=1)).max())
+
+
+def _equality(
+    sims: np.ndarray, members: np.ndarray, complement: np.ndarray, tol: float
+) -> EqualityConditions:
+    p = members.size
+    rows = sims[members]
+    same = rows[:, members][~np.eye(p, dtype=bool)].reshape(p, p - 1)
+    q1_dev = _max_spread(same)
+    q2_dev = _max_spread(rows[:, complement])
+    return EqualityConditions(
+        q1_satisfied=q1_dev <= tol,
+        q1_max_dev=q1_dev,
+        q2_satisfied=q2_dev <= tol,
+        q2_max_dev=q2_dev,
+        tol=tol,
+    )
+
+
+class _AnchorStats(NamedTuple):
+    """Per-anchor statistics of one class's members at one temperature."""
+
+    mean_same: np.ndarray  # mean scaled similarity to the other members
+    mean_comp: np.ndarray  # mean scaled similarity to the complement rows
+    lse: np.ndarray  # log-sum-exp of scaled similarities to every other row
+    positive: np.ndarray  # scaled similarity to the anchor's partner
+
+
 def _anchor_stats(
-    scaled: np.ndarray, members: np.ndarray, complement: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-anchor (same-class mean, other-class mean, log-sum-exp over others)."""
+    sims: np.ndarray,
+    idx: BatchIndexing,
+    members: np.ndarray,
+    complement: np.ndarray,
+    temperature: float,
+) -> _AnchorStats:
+    scaled = sims / temperature
     p = members.size
     rows = scaled[members]
     mean_same = (rows[:, members].sum(axis=1) - scaled[members, members]) / (p - 1)
     mean_comp = rows[:, complement].mean(axis=1)
-    masked = scaled.copy()
-    np.fill_diagonal(masked, -np.inf)
-    masked = masked[members]
-    peak = masked.max(axis=1)
-    lse = peak + np.log(np.exp(masked - peak[:, None]).sum(axis=1))
-    return mean_same, mean_comp, lse
+    rows[np.arange(p), members] = -np.inf
+    peak = rows.max(axis=1)
+    lse = peak + np.log(np.exp(rows - peak[:, None]).sum(axis=1))
+    positive = scaled[members, idx.partner[members]]
+    return _AnchorStats(mean_same, mean_comp, lse, positive)
+
+
+def _sc_terms(
+    stats: _AnchorStats, members: np.ndarray, complement: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Supervised bound per anchor: (constant, confrontation, bound, actual)."""
+    constant = float(members.size - 1)
+    confrontation = complement.size * np.exp(stats.mean_comp - stats.mean_same)
+    bound = np.log(constant + confrontation)
+    return constant, confrontation, bound, stats.lse - stats.mean_same
+
+
+def _uc_terms(
+    stats: _AnchorStats, members: np.ndarray, complement: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Instance bound per anchor: (confliction, confrontation, bound, actual)."""
+    confliction = (members.size - 1) * np.exp(stats.mean_same - stats.positive)
+    confrontation = complement.size * np.exp(stats.mean_comp - stats.positive)
+    bound = np.log(confliction + confrontation)
+    return confliction, confrontation, bound, stats.lse - stats.positive
 
 
 def equality_conditions_from_sims(
@@ -139,23 +212,8 @@ def equality_conditions_from_sims(
     temperature scaling); a group with fewer than two values satisfies
     its condition vacuously.
     """
-    sims, members, complement = _prepare(sims, idx, class_index, temperature=1.0)
-    q1_dev = 0.0
-    q2_dev = 0.0
-    for i in members:
-        same = sims[i, members[members != i]]
-        if same.size > 1:
-            q1_dev = max(q1_dev, float(same.max() - same.min()))
-        other = sims[i, complement]
-        if other.size > 1:
-            q2_dev = max(q2_dev, float(other.max() - other.min()))
-    return EqualityConditions(
-        q1_satisfied=q1_dev <= tol,
-        q1_max_dev=q1_dev,
-        q2_satisfied=q2_dev <= tol,
-        q2_max_dev=q2_dev,
-        tol=tol,
-    )
+    sims, members, complement = _prepare(sims, idx, class_index, ())
+    return _equality(sims, members, complement, tol)
 
 
 def bound_sc_from_sims(
@@ -166,13 +224,9 @@ def bound_sc_from_sims(
     tol: float = 1e-9,
 ) -> BoundReport:
     """Supervised-loss lower bound for one class from raw inner products."""
-    sims, members, complement = _prepare(sims, idx, class_index, temperature)
-    scaled = sims / temperature
-    mean_same, mean_comp, lse = _anchor_stats(scaled, members, complement)
-    constant = float(members.size - 1)
-    confrontation = complement.size * np.exp(mean_comp - mean_same)
-    bound = np.log(constant + confrontation)
-    actual = lse - mean_same
+    sims, members, complement = _prepare(sims, idx, class_index, (temperature,))
+    stats = _anchor_stats(sims, idx, members, complement, temperature)
+    constant, confrontation, bound, actual = _sc_terms(stats, members, complement)
     anchors = tuple(
         AnchorBound(int(i), constant, float(cf), float(b), float(a))
         for i, cf, b, a in zip(members, confrontation, bound, actual)
@@ -184,7 +238,7 @@ def bound_sc_from_sims(
         anchors=anchors,
         total_bound=float(bound.sum()),
         total_actual=float(actual.sum()),
-        equality=equality_conditions_from_sims(sims, idx, class_index, tol),
+        equality=_equality(sims, members, complement, tol),
     )
 
 
@@ -196,14 +250,9 @@ def bound_uc_from_sims(
     tol: float = 1e-9,
 ) -> BoundReport:
     """Instance-loss lower bound for one class from raw inner products."""
-    sims, members, complement = _prepare(sims, idx, class_index, temperature)
-    scaled = sims / temperature
-    mean_same, mean_comp, lse = _anchor_stats(scaled, members, complement)
-    positive = scaled[members, idx.partner[members]]
-    confliction = (members.size - 1) * np.exp(mean_same - positive)
-    confrontation = complement.size * np.exp(mean_comp - positive)
-    bound = np.log(confliction + confrontation)
-    actual = lse - positive
+    sims, members, complement = _prepare(sims, idx, class_index, (temperature,))
+    stats = _anchor_stats(sims, idx, members, complement, temperature)
+    confliction, confrontation, bound, actual = _uc_terms(stats, members, complement)
     anchors = tuple(
         AnchorBound(int(i), float(cl), float(cf), float(b), float(a))
         for i, cl, cf, b, a in zip(members, confliction, confrontation, bound, actual)
@@ -215,7 +264,7 @@ def bound_uc_from_sims(
         anchors=anchors,
         total_bound=float(bound.sum()),
         total_actual=float(actual.sum()),
-        equality=equality_conditions_from_sims(sims, idx, class_index, tol),
+        equality=_equality(sims, members, complement, tol),
     )
 
 
@@ -327,6 +376,8 @@ def fuzz_bounds(
             f"infeasible ranges: batch {max_batch}, dim {max_dim}, "
             f"classes {max_classes}"
         )
+    if not temperatures:
+        raise ParameterError("need at least one temperature")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     evaluations = 0
@@ -335,34 +386,39 @@ def fuzz_bounds(
     worst_config = -1
     equality_evaluations = 0
     worst_equality_slack = -math.inf
+    # Only counts, a min, a max and the index of the worst configuration
+    # leave the loop, so the order of the work inside one configuration
+    # cannot change the summary.
     for config in range(configurations):
         pairs = int(rng.integers(2, max_batch // 2 + 1))
         dim = int(rng.integers(1, max_dim + 1))
         n_classes = int(rng.integers(2, max_classes + 1))
         view_labels = rng.integers(0, n_classes, size=pairs)
-        if np.unique(view_labels).size < 2:
+        classes = np.unique(view_labels)
+        if classes.size < 2:
             view_labels[0] = (view_labels[0] + 1) % n_classes
+            classes = np.unique(view_labels)
         idx = two_view_indexing(view_labels)
         z = rng.standard_normal((2 * pairs, dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         sims = z @ z.T
-        for tau in temperatures:
-            for y in np.unique(idx.labels):
-                for builder in (bound_sc_from_sims, bound_uc_from_sims):
-                    report = builder(
-                        sims, idx, int(y), temperature=tau, tol=equality_tol
-                    )
+        for y in classes:
+            sims, members, complement = _prepare(sims, idx, int(y), temperatures)
+            equal = _equality(sims, members, complement, equality_tol).both
+            for tau in temperatures:
+                stats = _anchor_stats(sims, idx, members, complement, tau)
+                for terms in (_sc_terms, _uc_terms):
+                    *_, bound, actual = terms(stats, members, complement)
+                    slack = float(actual.sum()) - float(bound.sum())
                     evaluations += 1
-                    if report.slack < worst_slack:
-                        worst_slack = report.slack
+                    if slack < worst_slack:
+                        worst_slack = slack
                         worst_config = config
-                    if report.slack < slack_floor:
+                    if slack < slack_floor:
                         violations += 1
-                    if report.equality.both:
+                    if equal:
                         equality_evaluations += 1
-                        worst_equality_slack = max(
-                            worst_equality_slack, report.slack
-                        )
+                        worst_equality_slack = max(worst_equality_slack, slack)
     return FuzzSummary(
         configurations=configurations,
         evaluations=evaluations,

@@ -243,15 +243,26 @@ def _evaluate_case(case_path: str, slack_floor: float) -> dict:
         raise ParameterError(f"{case_path}: case file not found")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{case_path}: invalid JSON ({exc})")
-    for field_name in ("values", "labels", "partner"):
+    if not isinstance(case, dict):
+        raise ParameterError(
+            f"{case_path}: case must be a JSON object, got {type(case).__name__}"
+        )
+    arrays = {}
+    for field_name, dtype in (("values", np.float64), ("labels", np.int64), ("partner", np.intp)):
         if field_name not in case:
             raise ParameterError(f"{case_path}: missing field {field_name!r}")
-    values = np.asarray(case["values"], dtype=np.float64)
-    idx = BatchIndexing(
-        labels=np.asarray(case["labels"], dtype=np.int64),
-        partner=np.asarray(case["partner"], dtype=np.intp),
-    )
-    temperature = float(case.get("temperature", 1.0))
+        try:
+            arrays[field_name] = np.asarray(case[field_name], dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{case_path}: field {field_name!r}: {exc}")
+    values = arrays["values"]
+    idx = BatchIndexing(labels=arrays["labels"], partner=arrays["partner"])
+    temperature = case.get("temperature", 1.0)
+    if isinstance(temperature, bool) or not isinstance(temperature, (int, float)):
+        raise ParameterError(
+            f"{case_path}: field 'temperature' must be a number, got {temperature!r}"
+        )
+    temperature = float(temperature)
 
     rows = []
     worst = np.inf

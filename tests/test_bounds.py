@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from tscl.bounds import (
+    FUZZ_TEMPERATURES,
     bound_sc,
     bound_sc_from_sims,
     bound_uc,
@@ -18,6 +21,7 @@ from tscl.bounds import (
 )
 from tscl.errors import (
     DegenerateClassError,
+    DegenerateInputError,
     ParameterError,
     UndefinedBoundError,
 )
@@ -46,6 +50,68 @@ def clustered_batch(n_classes: int, per_class: int) -> tuple[np.ndarray, BatchIn
     partner = np.arange(len(labels))
     partner += np.where(partner % 2 == 0, 1, -1)
     return z, BatchIndexing(labels=labels, partner=partner)
+
+
+def _equality_loop(sims, labels, class_index, tol):
+    """Reference: the per-anchor spread loop the vectorised check replaced."""
+    members = np.flatnonzero(labels == class_index)
+    complement = np.flatnonzero(labels != class_index)
+    q1_dev = 0.0
+    q2_dev = 0.0
+    for i in members:
+        same = sims[i, members[members != i]]
+        if same.size > 1:
+            q1_dev = max(q1_dev, float(same.max() - same.min()))
+        other = sims[i, complement]
+        if other.size > 1:
+            q2_dev = max(q2_dev, float(other.max() - other.min()))
+    return q1_dev <= tol, q1_dev.hex(), q2_dev <= tol, q2_dev.hex()
+
+
+def _recount_fuzz(configurations, seed, max_batch, max_classes, equality_tol):
+    """Reference sweep: redraw the configurations and run the public builders
+    in the order ``for tau: for class: for builder``."""
+    rng = np.random.default_rng(seed)
+    evaluations = violations = equality_evaluations = 0
+    worst_slack, worst_config, worst_equality_slack = np.inf, -1, -np.inf
+    for config in range(configurations):
+        pairs = int(rng.integers(2, max_batch // 2 + 1))
+        dim = int(rng.integers(1, 9))
+        n_classes = int(rng.integers(2, max_classes + 1))
+        view_labels = rng.integers(0, n_classes, size=pairs)
+        if np.unique(view_labels).size < 2:
+            view_labels[0] = (view_labels[0] + 1) % n_classes
+        idx = two_view_indexing(view_labels)
+        z = rng.standard_normal((2 * pairs, dim))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        sims = z @ z.T
+        for tau in FUZZ_TEMPERATURES:
+            for y in np.unique(idx.labels):
+                for builder in (bound_sc_from_sims, bound_uc_from_sims):
+                    report = builder(sims, idx, int(y), tau, equality_tol)
+                    evaluations += 1
+                    if report.slack < worst_slack:
+                        worst_slack, worst_config = report.slack, config
+                    if report.slack < -1e-9:
+                        violations += 1
+                    if report.equality.both:
+                        equality_evaluations += 1
+                        worst_equality_slack = max(worst_equality_slack, report.slack)
+    return {
+        "configurations": configurations,
+        "evaluations": evaluations,
+        "violations": violations,
+        "worst_slack": float(worst_slack),
+        "worst_slack_config": worst_config,
+        "equality_evaluations": equality_evaluations,
+        "worst_equality_slack": float(worst_equality_slack),
+    }
+
+
+def _summary_fields(summary):
+    fields = summary.to_dict()
+    del fields["elapsed_seconds"]
+    return fields
 
 
 class TestSupervisedBound:
@@ -167,6 +233,34 @@ class TestEqualityConditions:
         report = bound_sc_from_sims(sims, idx, class_index=0, temperature=1.0)
         assert report.slack > 1e-6
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_anchor_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = [
+            # Q1 vacuous: class 0 has two members.
+            (np.array([0, 0, 1, 1]), 0),
+            (np.array([0, 0, 1, 1, 1, 1]), 0),
+            # Q2 vacuous: class 0 has one complement row.
+            (np.array([0, 0, 0, 1]), 0),
+            (np.array([0, 1, 1, 1, 1, 1]), 1),
+        ]
+        for _ in range(20):
+            n = 2 * int(rng.integers(2, 9))
+            labels = rng.integers(0, 4, size=n)
+            for y in np.unique(labels):
+                if 2 <= np.sum(labels == y) < n:
+                    cases.append((labels, int(y)))
+        for labels, y in cases:
+            n = labels.size
+            idx = BatchIndexing(labels=labels, partner=np.arange(n) ^ 1)
+            sims = rng.standard_normal((n, n))
+            if rng.random() < 0.5:
+                sims = np.round(sims * 2) / 2  # ties
+            for tol in (1e-12, 0.3):
+                eq = equality_conditions_from_sims(sims, idx, y, tol=tol)
+                got = (eq.q1_satisfied, eq.q1_max_dev.hex(), eq.q2_satisfied, eq.q2_max_dev.hex())
+                assert got == _equality_loop(sims, labels, y, tol)
+
     def test_clustered_simplex_configuration_saturates_both_bounds(self):
         z, idx = clustered_batch(3, 4)
         for y in range(3):
@@ -256,36 +350,53 @@ class TestFuzz:
         with pytest.raises(ParameterError, match="infeasible"):
             fuzz_bounds(configurations=10, max_batch=2)
 
+    def test_empty_temperatures_rejected(self):
+        with pytest.raises(ParameterError, match="temperature"):
+            fuzz_bounds(configurations=10, temperatures=())
+
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf, -np.inf, 0.0])
+    def test_temperature_that_tests_nothing_rejected(self, temperature):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            fuzz_bounds(configurations=10, temperatures=(0.5, temperature))
+        z, idx = clustered_batch(3, 4)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            bound_uc(z, idx, class_index=0, temperature=temperature)
+
+    def test_non_finite_similarities_rejected(self):
+        z, idx = clustered_batch(3, 4)
+        sims = z @ z.T
+        sims[0, 5] = np.nan
+        for check in (bound_sc_from_sims, bound_uc_from_sims, equality_conditions_from_sims):
+            with pytest.raises(DegenerateInputError, match="non-finite"):
+                check(sims, idx, 0)
+
     @pytest.mark.parametrize("equality_tol", [1e-12, 0.3])
     def test_equality_summary_matches_recount(self, equality_tol):
-        # Redraw the sweep's configurations from the same stream and judge
-        # each class's equality conditions directly at ``equality_tol``.
-        configurations, seed, temperatures = 200, 5, (0.2, 0.5, 1.0)
-        summary = fuzz_bounds(
-            configurations=configurations, seed=seed, equality_tol=equality_tol
-        )
-        rng = np.random.default_rng(seed)
-        count, worst = 0, -np.inf
-        for _ in range(configurations):
-            pairs = int(rng.integers(2, 9))
-            dim = int(rng.integers(1, 9))
-            n_classes = int(rng.integers(2, 5))
-            view_labels = rng.integers(0, n_classes, size=pairs)
-            if np.unique(view_labels).size < 2:
-                view_labels[0] = (view_labels[0] + 1) % n_classes
-            idx = two_view_indexing(view_labels)
-            z = rng.standard_normal((2 * pairs, dim))
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            sims = z @ z.T
-            for tau in temperatures:
-                for y in np.unique(idx.labels):
-                    eq = equality_conditions_from_sims(
-                        sims, idx, int(y), tol=equality_tol
-                    )
-                    if not eq.both:
-                        continue
-                    for builder in (bound_sc_from_sims, bound_uc_from_sims):
-                        count += 1
-                        worst = max(worst, builder(sims, idx, int(y), tau).slack)
-        assert summary.equality_evaluations == count > 0
-        assert summary.worst_equality_slack == worst
+        # The whole summary, judged against the public builders run in the
+        # sweep's original loop order.  The 0.3 tolerance fails if the sweep
+        # does not pass ``equality_tol`` through.
+        for seed, max_batch, max_classes in itertools.product(
+            (0, 5, 11), (5, 16, 32), (2, 6)
+        ):
+            summary = fuzz_bounds(
+                configurations=100,
+                seed=seed,
+                max_batch=max_batch,
+                max_classes=max_classes,
+                equality_tol=equality_tol,
+            )
+            expected = _recount_fuzz(100, seed, max_batch, max_classes, equality_tol)
+            assert _summary_fields(summary) == expected, (seed, max_batch, max_classes)
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (0, (7398, 0, 0.0, 39, 66, 8.881784197001252e-16)),
+            (6, (7662, 0, -1.618713843520858e-16, 359, 42, 4.440892098500626e-16)),
+        ],
+    )
+    def test_pinned_summary(self, seed, expected):
+        summary = fuzz_bounds(configurations=500, seed=seed)
+        fields = _summary_fields(summary)
+        assert fields.pop("configurations") == 500
+        assert tuple(fields.values()) == expected

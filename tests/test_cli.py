@@ -99,6 +99,48 @@ def test_verify_bounds_invalid_range_is_usage_error(workspace, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_verify_bounds_non_finite_tau_exits_one(workspace, capsys, tau):
+    out = workspace["root"] / f"vb_tau_{tau}"
+    code = run_cli(["verify-bounds", "--configurations", "5", "--tau", tau, "--out", str(out)])
+    assert code == 1
+    assert "positive and finite" in capsys.readouterr().err
+
+
+_TIGHT_CASE = {
+    "values": [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+    "labels": [0, 0, 1, 1],
+    "partner": [1, 0, 3, 2],
+}
+
+
+@pytest.mark.parametrize(
+    "name, case, message",
+    [
+        ("number", 3, "case must be a JSON object"),
+        ("tau_null", {**_TIGHT_CASE, "temperature": None}, "'temperature' must be a number"),
+        ("tau_list", {**_TIGHT_CASE, "temperature": [1.0]}, "'temperature' must be a number"),
+        ("labels_null", {**_TIGHT_CASE, "labels": None}, "field 'labels'"),
+        (
+            "nan_values",
+            {**_TIGHT_CASE, "values": [[float("nan"), 0.0]] + _TIGHT_CASE["values"][1:]},
+            "non-finite",
+        ),
+    ],
+)
+def test_verify_bounds_malformed_case_exits_one(workspace, capsys, name, case, message):
+    case_path = workspace["root"] / f"case_{name}.json"
+    case_path.write_text(json.dumps(case))
+    code = run_cli(
+        ["verify-bounds", "--configurations", "5", "--case", str(case_path),
+         "--out", str(workspace["root"] / f"vb_case_{name}")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # synth
 
