@@ -94,8 +94,11 @@ class AugmentParams:
     max_segments: int = 5
 
     def __post_init__(self) -> None:
-        if min(self.weak_jitter, self.weak_scale, self.strong_jitter) < 0:
-            raise ParameterError("noise scales must be nonnegative")
+        scales = (self.weak_jitter, self.weak_scale, self.strong_jitter)
+        if not all(np.isfinite(scales)) or min(scales) < 0:
+            raise ParameterError(
+                f"noise scales must be finite and nonnegative, got {scales}"
+            )
         if self.max_segments < 1:
             raise ParameterError(
                 f"max_segments must be >= 1, got {self.max_segments}"

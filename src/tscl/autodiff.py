@@ -326,6 +326,22 @@ def logsumexp_row(a: DiffNode, excluded: Optional[np.ndarray] = None) -> DiffNod
     return DiffNode(Tensor2D(out), parents=[(a, pull)], op="logsumexp_row")
 
 
+def _softmax_ce(lv: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-sum-exp (Nx1) of logits ``lv``, and softmax(lv) minus one-hot(y).
+
+    The second array is the gradient of the per-row cross-entropy with
+    respect to the logits.  ``y`` must already lie in [0, C).
+    """
+    n, c = lv.shape
+    mx = lv.max(axis=1, keepdims=True)
+    e = np.exp(lv - mx)
+    s = e.sum(axis=1, keepdims=True)
+    soft = e / s
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), y] = 1.0
+    return mx + np.log(s), soft - onehot
+
+
 def cross_entropy_with_logits(logits: DiffNode, labels) -> DiffNode:
     """Per-row softmax cross-entropy against integer labels (Nx1 output)."""
     y = np.asarray(labels, dtype=np.intp)
@@ -335,17 +351,11 @@ def cross_entropy_with_logits(logits: DiffNode, labels) -> DiffNode:
     if y.size and (y.min() < 0 or y.max() >= c):
         raise ParameterError(f"label out of range [0,{c}) in cross entropy")
     lv = logits.array
-    mx = lv.max(axis=1, keepdims=True)
-    e = np.exp(lv - mx)
-    s = e.sum(axis=1, keepdims=True)
-    lse = mx + np.log(s)
+    lse, soft_minus_onehot = _softmax_ce(lv, y)
     picked = lv[np.arange(n), y].reshape(n, 1)
-    soft = e / s
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), y] = 1.0
 
     def pull(g: np.ndarray) -> np.ndarray:
-        return g * (soft - onehot)
+        return g * soft_minus_onehot
 
     return DiffNode(
         Tensor2D(lse - picked), parents=[(logits, pull)], op="cross_entropy"

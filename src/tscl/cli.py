@@ -189,9 +189,14 @@ def _synth_spec(doc: dict, path: str) -> tuple[SynthSpec, float]:
     if extra:
         raise ParameterError(f"{path}: synth section: unknown fields {sorted(extra)}")
     try:
-        return SynthSpec(**sec), float(test_fraction)
+        spec, test_fraction = SynthSpec(**sec), float(test_fraction)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: synth section: {exc}")
+    if not 0.0 <= test_fraction < 1.0:  # 0 writes one unsplit full.csv
+        raise ParameterError(
+            f"{path}: synth section: test_fraction must lie in [0, 1), got {test_fraction}"
+        )
+    return spec, test_fraction
 
 
 def _load_dataset(doc: dict, path: str, which: str) -> TimeSeriesBatch:
@@ -255,39 +260,42 @@ def _evaluate_case(case_path: str, slack_floor: float) -> dict:
             arrays[field_name] = np.asarray(case[field_name], dtype=dtype)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"{case_path}: field {field_name!r}: {exc}")
-    values = arrays["values"]
-    idx = BatchIndexing(labels=arrays["labels"], partner=arrays["partner"])
     temperature = case.get("temperature", 1.0)
     if isinstance(temperature, bool) or not isinstance(temperature, (int, float)):
         raise ParameterError(
             f"{case_path}: field 'temperature' must be a number, got {temperature!r}"
         )
     temperature = float(temperature)
+    try:
+        idx = BatchIndexing(labels=arrays["labels"], partner=arrays["partner"])
+        reports = [
+            (y, kind, fn(arrays["values"], idx, y, temperature=temperature))
+            for y in sorted(int(c) for c in np.unique(idx.labels))
+            if 2 <= idx.class_members()[y].size < idx.n
+            for kind, fn in (("class", bound_sc), ("instance", bound_uc))
+        ]
+    except ValueError as exc:
+        raise type(exc)(f"{case_path}: {exc}") from exc
 
     rows = []
     worst = np.inf
     violations = 0
-    for y in sorted(int(c) for c in np.unique(idx.labels)):
-        members = idx.class_members()[y]
-        if members.size < 2 or members.size == idx.n:
-            continue
-        for kind, fn in (("class", bound_sc), ("instance", bound_uc)):
-            report = fn(values, idx, y, temperature=temperature)
-            slack = report.slack
-            worst = min(worst, slack)
-            if slack < slack_floor:
-                violations += 1
-            rows.append(
-                {
-                    "class": y,
-                    "kind": kind,
-                    "bound": report.total_bound,
-                    "actual": report.total_actual,
-                    "slack": slack,
-                    "q1_satisfied": report.q1_satisfied,
-                    "q2_satisfied": report.q2_satisfied,
-                }
-            )
+    for y, kind, report in reports:
+        slack = report.slack
+        worst = min(worst, slack)
+        if slack < slack_floor:
+            violations += 1
+        rows.append(
+            {
+                "class": y,
+                "kind": kind,
+                "bound": report.total_bound,
+                "actual": report.total_actual,
+                "slack": slack,
+                "q1_satisfied": report.q1_satisfied,
+                "q2_satisfied": report.q2_satisfied,
+            }
+        )
     if not rows:
         raise ParameterError(
             f"{case_path}: no class admits a bound (each needs >=2 members "

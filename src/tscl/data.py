@@ -46,6 +46,14 @@ class SynthSpec:
                 f"need length >= 8 and channels >= 1, got "
                 f"{self.length} and {self.channels}"
             )
+        shape_fields = (
+            "noise_sigma", "base_frequency", "frequency_step", "amplitude_decay",
+            "phase_spread",
+        )
+        for name in shape_fields:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.noise_sigma < 0:
             raise ParameterError(f"noise sigma must be >= 0, got {self.noise_sigma}")
         if self.amplitude_decay <= 0:
@@ -214,11 +222,13 @@ def load_delimited(
 ) -> TimeSeriesBatch:
     """Parse a delimited file written by :func:`save_delimited`.
 
-    Loaded labels are marked visible. Errors name the offending line.
+    Loaded labels are marked visible. Errors name the offending line;
+    ``nan`` and ``inf`` values are rejected like unparsable ones.
     """
     width = channels * length
     values: list[list[float]] = []
     labels: list[int] = []
+    line_numbers: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -242,8 +252,16 @@ def load_delimited(
                 )
             labels.append(label)
             values.append(row)
+            line_numbers.append(line_number)
+    array = np.array(values, dtype=np.float64).reshape(len(values), width)
+    if not np.isfinite(array).all():
+        row_index, column = np.argwhere(~np.isfinite(array))[0]
+        raise ParseError(
+            f"line {line_numbers[row_index]}: field {column + 2} is "
+            f"{float(array[row_index, column])!r}, not a finite number"
+        )
     return TimeSeriesBatch(
-        values=np.array(values, dtype=np.float64).reshape(len(values), width),
+        values=array,
         labels=np.array(labels, dtype=np.int64),
         label_mask=np.ones(len(labels), dtype=bool),
         channels=channels,

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import AugmentParams, TimeSeriesBatch, strong_augment, weak_augment
-from .errors import DimensionError, ParameterError, TrainingDivergedError
+from .errors import DegenerateInputError, ParameterError, TrainingDivergedError
 from .graph import SimilarityMatrix, build_similarity
 from .losses import (
     BatchIndexing,
@@ -47,7 +48,7 @@ from .model import (
     mlp_project,
     rebuild_with_values,
 )
-from .optim import AdamConfig, AdamState, adam_step, init_adam_state
+from .optim import AdamConfig, AdamState, adam_step, adam_update, init_adam_state
 from .tensor import Tensor2D
 
 __all__ = [
@@ -140,6 +141,10 @@ class TrainConfig:
             raise ParameterError(f"batch size must be >= 2, got {self.batch_size}")
         if not self.seeds:
             raise ParameterError("seeds must be a nonempty sequence")
+        for name in ("lr", "weight_decay", "temperature", "lambda_graph", "lambda_cls"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.lr < 0.0 or self.weight_decay < 0.0:
             raise ParameterError("learning rate and weight decay must be nonnegative")
         if self.temperature <= 0.0:
@@ -386,9 +391,10 @@ def pretrain(
 
     ``seed`` picks the run seed (default: the first entry of
     ``config.seeds``).  Raises :class:`TrainingDivergedError` as soon as any
-    batch produces a non-finite combined loss, parameter gradient or updated
-    parameter value; the exception carries the index of the last epoch that
-    completed cleanly.
+    batch produces a degenerate forward pass (a ``DegenerateInputError``),
+    a non-finite combined loss, parameter gradient or updated parameter
+    value; the exception carries the index of the last epoch that completed
+    cleanly.
     """
     if data.n < 2:
         raise ParameterError(f"need at least 2 samples to train, got {data.n}")
@@ -435,9 +441,19 @@ def pretrain(
             idx = two_view_indexing(data.labels[rows])
             label_mask = np.concatenate([data.label_mask[rows], data.label_mask[rows]])
 
-            combined, tracked = _forward_batch(
-                params, model_config, config, stacked, idx, label_mask
-            )
+            try:
+                combined, tracked = _forward_batch(
+                    params, model_config, config, stacked, idx, label_mask
+                )
+            except DegenerateInputError as exc:
+                # A degenerate intermediate, such as a graph head whose ReLU
+                # units are all dead on the batch, is a failure of the model
+                # state like a non-finite loss, not a fault of the input.
+                raise TrainingDivergedError(
+                    f"degenerate forward pass in epoch {epoch_index + 1}, "
+                    f"batch {start // config.batch_size + 1}: {exc}",
+                    last_good_epoch=epoch_index,
+                ) from exc
             total = combined.total
             if not np.isfinite(total):
                 raise TrainingDivergedError(
@@ -503,21 +519,27 @@ def linear_probe(
 ) -> tuple[ClassifierParams, MetricsReport]:
     """Fit a linear classifier on frozen-encoder embeddings of labeled rows.
 
-    The encoder is never updated: embeddings are computed once and wrapped
-    as constants, and only a fresh zero-initialized linear head is trained
-    (full-batch Adam on the labeled subset).  Evaluation runs on ``test``.
+    The encoder is never updated: embeddings are computed once, and only a
+    fresh zero-initialized linear head is trained (full-batch Adam on the
+    mean softmax cross-entropy of the labeled subset).  The fit runs on
+    plain arrays with the cross-entropy gradient written out, so it builds
+    no autodiff graph.  Evaluation runs on ``test``.
     """
     if epochs < 1:
         raise ParameterError(f"probe epochs must be >= 1, got {epochs}")
-    if lr <= 0.0:
-        raise ParameterError(f"probe learning rate must be positive, got {lr}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ParameterError(f"probe learning rate must be positive and finite, got {lr}")
     labeled = np.flatnonzero(train.label_mask)
     if labeled.size == 0:
         raise ParameterError("probe needs at least one labeled training sample")
     if test.n == 0:
         raise ParameterError("probe needs a nonempty evaluation set")
-    present = set(int(y) for y in train.labels[labeled])
-    missing = sorted(set(range(model_config.n_classes)) - present)
+    n_classes = model_config.n_classes
+    labels = train.labels[labeled]
+    present = set(int(y) for y in labels)
+    if min(present) < 0 or max(present) >= n_classes:
+        raise ParameterError(f"probe label out of range [0,{n_classes})")
+    missing = sorted(set(range(n_classes)) - present)
     if missing:
         warnings.warn(
             f"classes absent from the labeled training subset: {missing}; "
@@ -525,28 +547,33 @@ def linear_probe(
             stacklevel=2,
         )
 
-    train_h = encode(train.take(labeled), params.encoder, model_config)
+    x = encode(train.take(labeled), params.encoder, model_config).array
     test_h = encode(test, params.encoder, model_config)
-    features = ad.constant(train_h.array)
-    labels = train.labels[labeled]
 
-    n_classes = model_config.n_classes
-    clf = ClassifierParams(
-        weight=ad.leaf(Tensor2D.zeros(model_config.embed_dim, n_classes)),
-        bias=ad.leaf(Tensor2D.zeros(1, n_classes)),
-    )
+    # Bias and weight are views of one flat buffer, and so are their
+    # gradients, so one elementwise Adam update covers both.
+    dim = model_config.embed_dim
+    flat = np.zeros(n_classes * (1 + dim))
+    grad = np.empty_like(flat)
+    first_moment = np.zeros_like(flat)
+    second_moment = np.zeros_like(flat)
+    bias = flat[:n_classes].reshape(1, n_classes)
+    weight = flat[n_classes:].reshape(dim, n_classes)
+    grad_bias = grad[:n_classes].reshape(1, n_classes)
+    grad_weight = grad[n_classes:].reshape(dim, n_classes)
     adam_config = AdamConfig(lr=lr)
-    state = init_adam_state({name: node.value for name, node in clf.named().items()})
-    for _ in range(epochs):
-        logits = classify(features, clf)
-        loss = ad.mean(ad.cross_entropy_with_logits(logits, labels))
-        ad.backward(loss)
-        state, new_values = _adam_update(adam_config, state, clf.named())
-        clf = ClassifierParams(
-            weight=ad.leaf(new_values["classifier.weight"]),
-            bias=ad.leaf(new_values["classifier.bias"]),
-        )
+    inv_n = 1.0 / labels.size
+    for step in range(1, epochs + 1):
+        # The gradient of mean(cross_entropy(x @ weight + bias, labels)),
+        # with the operands and order of the autodiff pullbacks, so the fit
+        # is bit-identical to differentiating that graph.
+        _, soft_minus_onehot = ad._softmax_ce(x @ weight + bias, labels)
+        g = inv_n * soft_minus_onehot
+        np.matmul(x.T, g, out=grad_weight)
+        g.sum(axis=0, keepdims=True, out=grad_bias)
+        adam_update(adam_config, step, flat, grad, first_moment, second_moment)
 
+    clf = ClassifierParams(weight=ad.leaf(Tensor2D(weight)), bias=ad.leaf(Tensor2D(bias)))
     test_logits = classify(ad.constant(test_h.array), clf)
     predictions = np.argmax(test_logits.array, axis=1)
     report = evaluate(test.labels, predictions, n_classes)

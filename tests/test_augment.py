@@ -135,5 +135,8 @@ class TestStrongAugment:
     def test_invalid_params_rejected(self):
         with pytest.raises(ParameterError, match="nonnegative"):
             AugmentParams(weak_jitter=-0.1)
+        for field in ("weak_jitter", "weak_scale", "strong_jitter"):
+            with pytest.raises(ParameterError, match="finite"):
+                AugmentParams(**{field: float("nan")})
         with pytest.raises(ParameterError, match="max_segments"):
             AugmentParams(max_segments=0)

@@ -126,6 +126,8 @@ _TIGHT_CASE = {
             {**_TIGHT_CASE, "values": [[float("nan"), 0.0]] + _TIGHT_CASE["values"][1:]},
             "non-finite",
         ),
+        ("tau_negative", {**_TIGHT_CASE, "temperature": -1.0}, "temperature must be positive"),
+        ("tau_nan", {**_TIGHT_CASE, "temperature": float("nan")}, "temperature must be positive"),
     ],
 )
 def test_verify_bounds_malformed_case_exits_one(workspace, capsys, name, case, message):
@@ -138,6 +140,7 @@ def test_verify_bounds_malformed_case_exits_one(workspace, capsys, name, case, m
     assert code == 1
     err = capsys.readouterr().err
     assert message in err
+    assert str(case_path) in err
     assert "Traceback" not in err
 
 
@@ -169,6 +172,18 @@ def test_synth_zero_noise_rows_identical_per_class(workspace):
         by_label.setdefault(label, set()).add(line)
     assert set(by_label) == {"0", "1"}
     assert all(len(rows) == 1 for rows in by_label.values())
+
+
+@pytest.mark.parametrize("fraction", ["NaN", "-0.5", "1.0"])
+def test_synth_test_fraction_outside_unit_interval_exits_one(workspace, capsys, fraction):
+    out = workspace["root"] / f"synth_tf_{fraction}"
+    code = run_cli(
+        ["synth", "--config", str(workspace["config"]), "--out", str(out),
+         "--set", f"synth.test_fraction={fraction}"]
+    )
+    assert code == 1
+    assert "test_fraction must lie in [0, 1)" in capsys.readouterr().err
+    assert not (out / "full.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +408,26 @@ def test_malformed_probe_section_exits_one(workspace, subcommand, capsys):
     )
     assert code == 1
     assert "probe section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, assignment, message",
+    [
+        ("probe", "probe.lr=NaN", "probe learning rate must be positive and finite"),
+        ("probe", "probe.lr=Infinity", "probe learning rate must be positive and finite"),
+        ("pretrain", "train.temperature=NaN", "temperature must be finite"),
+    ],
+)
+def test_non_finite_rate_or_temperature_exits_one(
+    workspace, subcommand, assignment, message, capsys
+):
+    code = run_cli(
+        [subcommand, "--config", str(workspace["config"]),
+         "--out", str(workspace["root"] / f"non_finite_{subcommand}"),
+         "--set", assignment]
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_no_subcommand_is_usage_error():

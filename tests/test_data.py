@@ -31,6 +31,17 @@ class TestSynthSpec:
         with pytest.raises(ParameterError, match="two classes"):
             SynthSpec(class_counts=(10,))
 
+    @pytest.mark.parametrize(
+        "name",
+        ["noise_sigma", "base_frequency", "frequency_step", "amplitude_decay", "phase_spread"],
+    )
+    def test_non_finite_shape_parameters_rejected(self, name):
+        # NaN noise would generate NaN series, and an infinite phase spread
+        # ends in an OverflowError from the generator.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                SynthSpec(class_counts=(4, 2), **{name: value})
+
 
 class TestGenerate:
     def test_counts_match_spec_exactly(self):
@@ -151,4 +162,13 @@ class TestDelimitedIO:
         path = tmp_path / "nan.csv"
         path.write_text("0,1.0,oops\n")
         with pytest.raises(ParseError, match="line 1"):
+            load_delimited(path, channels=1, length=2)
+
+    @pytest.mark.parametrize("token, shown", [("nan", "nan"), ("-inf", "-inf"), ("Infinity", "inf")])
+    def test_non_finite_value_names_line(self, tmp_path, token, shown):
+        # A blank line before the bad row checks that the line number, not
+        # the row index, is reported.
+        path = tmp_path / "non_finite.csv"
+        path.write_text(f"0,1.0,2.0\n\n1,{token},2.0\n")
+        with pytest.raises(ParseError, match=f"line 3: field 2 is {shown}, not a finite"):
             load_delimited(path, channels=1, length=2)

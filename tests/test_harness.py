@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tscl import autodiff as ad
 from tscl import harness
 from tscl.augment import AugmentParams, TimeSeriesBatch
 from tscl.data import SynthSpec, generate, split_labels, stratified_split
@@ -27,8 +28,9 @@ from tscl.harness import (
     save_run_record,
     track_class_losses,
 )
-from tscl.model import init_model, save_values
-from tscl.optim import AdamConfig
+from tscl.metrics import evaluate
+from tscl.model import ClassifierParams, classify, encode, init_model, save_values
+from tscl.optim import AdamConfig, adam_step, init_adam_state
 from tscl.tensor import Tensor2D
 
 IDENTITY_AUGMENT = AugmentParams(
@@ -107,6 +109,15 @@ def test_config_validation():
         TrainConfig(lr=-1.0)
     with pytest.raises(ParameterError, match="label fraction"):
         TrainConfig(label_fraction=0.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["lr", "weight_decay", "temperature", "lambda_graph", "lambda_cls"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_rates_and_loss_settings(name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
 
 
 def test_config_dict_round_trip():
@@ -278,6 +289,25 @@ def test_non_finite_value_after_adam_aborts_naming_the_parameter(monkeypatch):
     assert str(excinfo.value) == "non-finite value of projection.w2 in epoch 3"
 
 
+def test_dead_graph_head_is_reported_as_divergence():
+    # Criterion 8's data and settings on generator and run seed 202: at the
+    # first step every hidden unit of the graph head's ReLU is zero on every
+    # row, so the head's output rows cannot be normalized.
+    spec = SynthSpec(class_counts=(30, 20, 10), length=32, channels=1, seed=202)
+    train, _ = stratified_split(
+        generate(spec), 0.2, np.random.default_rng(np.random.SeedSequence([202, 1]))
+    )
+    labeled = split_labels(train, 0.30, np.random.default_rng(np.random.SeedSequence([202, 7])))
+    config = TrainConfig(variant="full", epochs=2, batch_size=16, embed_dim=8,
+                         label_fraction=0.3, seeds=(202,))
+    with pytest.raises(TrainingDivergedError) as excinfo:
+        pretrain(config, labeled, seed=202)
+    assert excinfo.value.last_good_epoch == 0
+    assert str(excinfo.value) == (
+        "degenerate forward pass in epoch 1, batch 1: zero-norm row at index 0"
+    )
+
+
 def test_single_leftover_sample_is_dropped():
     data = generate(
         SynthSpec(class_counts=(3, 2), length=16, channels=1, noise_sigma=0.1, seed=2)
@@ -300,6 +330,100 @@ def test_dataset_preconditions():
 
 # ---------------------------------------------------------------------------
 # Linear probe
+
+
+def _autodiff_probe(params, model_config, train, test, epochs, lr):
+    """Reference fit that builds and differentiates one autodiff graph per
+    epoch; the graph-free ``linear_probe`` must match it bit for bit."""
+    labeled = np.flatnonzero(train.label_mask)
+    features = ad.constant(encode(train.take(labeled), params.encoder, model_config).array)
+    labels = train.labels[labeled]
+    n_classes = model_config.n_classes
+    clf = ClassifierParams(
+        weight=ad.leaf(Tensor2D.zeros(model_config.embed_dim, n_classes)),
+        bias=ad.leaf(Tensor2D.zeros(1, n_classes)),
+    )
+    adam_config = AdamConfig(lr=lr)
+    state = init_adam_state({name: node.value for name, node in clf.named().items()})
+    for _ in range(epochs):
+        ad.backward(ad.mean(ad.cross_entropy_with_logits(classify(features, clf), labels)))
+        nodes = clf.named()
+        state, new_values = adam_step(
+            adam_config,
+            state,
+            {name: node.value for name, node in nodes.items()},
+            {name: Tensor2D(node.grad) for name, node in nodes.items()},
+        )
+        clf = ClassifierParams(
+            weight=ad.leaf(new_values["classifier.weight"]),
+            bias=ad.leaf(new_values["classifier.bias"]),
+        )
+    test_h = encode(test, params.encoder, model_config)
+    predictions = np.argmax(classify(ad.constant(test_h.array), clf).array, axis=1)
+    return clf, evaluate(test.labels, predictions, n_classes)
+
+
+@pytest.fixture(scope="module")
+def probe_cases(labeled_split):
+    """(params, model config, train, test) for three probe set-ups: four
+    balanced classes, the same with class 3 unlabeled, and a three-class
+    imbalanced set with a single labeled row."""
+    train, test = labeled_split
+    mc = model_config_for(small_config(variant="mlp_id"), train)
+    imbalanced = generate(
+        SynthSpec(class_counts=(30, 20, 10), length=32, channels=1, seed=5)
+    )
+    im_train, im_test = stratified_split(imbalanced, 0.2, np.random.default_rng(6))
+    single = np.zeros(im_train.n, dtype=bool)
+    single[7] = True
+    im_mc = model_config_for(small_config(variant="mlp_id", embed_dim=32), im_train)
+    return {
+        "balanced": (init_model(mc, np.random.default_rng(8)), mc, train, test),
+        "class_absent": (
+            init_model(mc, np.random.default_rng(9)),
+            mc,
+            train.with_mask(train.label_mask & (train.labels != 3)),
+            test,
+        ),
+        "single_row": (
+            init_model(im_mc, np.random.default_rng(10)), im_mc, im_train.with_mask(single),
+            im_test,
+        ),
+    }
+
+
+@pytest.mark.parametrize("lr", [1e-2, 0.05])
+@pytest.mark.parametrize("epochs", [1, 7, 200])
+@pytest.mark.parametrize("case", ["balanced", "class_absent", "single_row"])
+def test_probe_matches_autodiff_reference_bit_for_bit(probe_cases, case, epochs, lr):
+    params, mc, train, test = probe_cases[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the class_absent case warns
+        clf, report = linear_probe(params, mc, train, test, epochs=epochs, lr=lr)
+    ref_clf, ref_report = _autodiff_probe(params, mc, train, test, epochs, lr)
+    assert clf.weight.value.array.tobytes() == ref_clf.weight.value.array.tobytes()
+    assert clf.bias.value.array.tobytes() == ref_clf.bias.value.array.tobytes()
+    assert json.dumps(report.to_dict()) == json.dumps(ref_report.to_dict())
+
+
+def test_probe_fit_builds_no_graph(probe_cases, monkeypatch):
+    # Encoding and the final test logits build nodes; the fit loop must
+    # not, so the count cannot depend on the number of epochs.
+    params, mc, train, test = probe_cases["balanced"]
+    created = []
+    real_init = ad.DiffNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.DiffNode, "__init__", counting_init)
+    counts = []
+    for epochs in (1, 30):
+        created.clear()
+        linear_probe(params, mc, train, test, epochs=epochs)
+        counts.append(len(created))
+    assert counts[0] == counts[1] > 0
 
 
 def test_probe_perfectly_separable_data_scores_one():
@@ -385,6 +509,9 @@ def test_probe_requires_labels_and_eval_data(labeled_split):
         linear_probe(params, mc, unlabeled, test)
     with pytest.raises(ParameterError, match="epochs"):
         linear_probe(params, mc, train, test, epochs=0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            linear_probe(params, mc, train, test, lr=lr)
 
 
 def test_run_experiment_fills_final_metrics(labeled_split):

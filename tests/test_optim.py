@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tscl.errors import ParameterError
-from tscl.optim import AdamConfig, AdamState, adam_step, init_adam_state
+from tscl.optim import AdamConfig, AdamState, adam_step, adam_update, init_adam_state
 from tscl.tensor import Tensor2D
 
 
@@ -44,6 +44,53 @@ def test_ten_steps_match_reference_implementation():
         v_hat = ref_v / (1.0 - 0.999**t)
         ref_x = ref_x - 3e-4 * m_hat / (np.sqrt(v_hat) + 1e-8)
     np.testing.assert_allclose(values["w"].array, ref_x, rtol=0, atol=1e-15)
+
+
+def test_flat_buffer_update_matches_adam_step_with_weight_decay():
+    # The probe updates bias and weight as two views of one flat buffer;
+    # the update is elementwise, so it must match the per-name step, and
+    # both must match the update written out in full.
+    rng = np.random.default_rng(5)
+    config = AdamConfig(lr=0.05, beta1=0.8, beta2=0.99, eps=1e-6, weight_decay=0.03)
+    arrays = {"b": rng.standard_normal((1, 3)), "w": rng.standard_normal((4, 3))}
+    state = init_adam_state(_wrap(arrays))
+    values = _wrap(arrays)
+    flat = np.concatenate([arrays["b"].ravel(), arrays["w"].ravel()])
+    flat_m = np.zeros_like(flat)
+    flat_v = np.zeros_like(flat)
+    ref = {k: (v.copy(), np.zeros_like(v), np.zeros_like(v)) for k, v in arrays.items()}
+    for step in range(1, 6):
+        grads = {"b": rng.standard_normal((1, 3)), "w": rng.standard_normal((4, 3))}
+        state, values = adam_step(config, state, values, _wrap(grads))
+        flat_g = np.concatenate([grads["b"].ravel(), grads["w"].ravel()])
+        adam_update(config, step, flat, flat_g, flat_m, flat_v)
+        for name, (x, m, v) in ref.items():
+            g = grads[name] + 0.03 * x
+            m = 0.8 * m + (1.0 - 0.8) * g
+            v = 0.99 * v + (1.0 - 0.99) * g * g
+            m_hat = m / (1.0 - 0.8**step)
+            v_hat = v / (1.0 - 0.99**step)
+            ref[name] = (x - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-6), m, v)
+    for name, (x, m, v) in ref.items():
+        assert values[name].array.tobytes() == x.tobytes()
+        assert state.first_moment[name].tobytes() == m.tobytes()
+        assert state.second_moment[name].tobytes() == v.tobytes()
+    for flat_array, k in ((flat, 0), (flat_m, 1), (flat_v, 2)):
+        expected = np.concatenate([ref["b"][k].ravel(), ref["w"][k].ravel()])
+        assert flat_array.tobytes() == expected.tobytes()
+
+
+def test_step_does_not_mutate_its_inputs():
+    rng = np.random.default_rng(9)
+    values = _wrap({"w": rng.standard_normal((2, 2))})
+    state = init_adam_state(values)
+    state, values = adam_step(AdamConfig(lr=0.1), state, values, _wrap({"w": np.ones((2, 2))}))
+    before = (values["w"].array.copy(), state.first_moment["w"].copy(),
+              state.second_moment["w"].copy())
+    adam_step(AdamConfig(lr=0.1), state, values, _wrap({"w": np.ones((2, 2))}))
+    np.testing.assert_array_equal(values["w"].array, before[0])
+    np.testing.assert_array_equal(state.first_moment["w"], before[1])
+    np.testing.assert_array_equal(state.second_moment["w"], before[2])
 
 
 def test_weight_decay_equals_gradient_augmentation():
@@ -109,6 +156,10 @@ def test_gradient_shape_mismatch_rejected():
         {"beta2": -0.1},
         {"eps": 0.0},
         {"weight_decay": -0.5},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"eps": float("inf")},
+        {"weight_decay": float("nan")},
     ],
 )
 def test_invalid_config_rejected(kwargs):
