@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tscl.errors import DimensionError, ParameterError
+from tscl.errors import DegenerateInputError, DimensionError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,9 @@ class TimeSeriesBatch:
             )
         if n and labels.min() < 0:
             raise ParameterError(f"labels must be nonnegative, got {labels.min()}")
+        if not np.isfinite(values).all():
+            row = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+            raise DegenerateInputError(f"row {row} holds a non-finite value")
 
     @property
     def n(self) -> int:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from tscl.errors import DegenerateInputError, DimensionError, ParameterError
-from tscl.tensor import Tensor2D, as_array, keep_mask, softmax_row
+from tscl.tensor import Tensor2D, as_array, exclude_entries, softmax_row
 
 Pullback = Callable[[np.ndarray], np.ndarray]
 
@@ -110,7 +110,7 @@ def backward(node: DiffNode) -> None:
                 continue
             contrib = pull(g)
             if parent.grad is None:
-                parent.grad = contrib.copy()
+                parent.grad = contrib  # gradients are never written in place
             else:
                 parent.grad = parent.grad + contrib
 
@@ -125,7 +125,7 @@ def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     av, bv = a.array, b.array
     out = av @ bv
     return DiffNode(
-        Tensor2D(out),
+        Tensor2D._adopt(out),
         parents=[(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)],
         op="matmul",
     )
@@ -135,13 +135,13 @@ def add(a: DiffNode, b: DiffNode) -> DiffNode:
     """Elementwise sum; ``b`` may be a 1xM row vector broadcast over rows."""
     if a.shape == b.shape:
         return DiffNode(
-            Tensor2D(a.array + b.array),
+            Tensor2D._adopt(a.array + b.array),
             parents=[(a, lambda g: g), (b, lambda g: g)],
             op="add",
         )
     if b.shape == (1, a.shape[1]):
         return DiffNode(
-            Tensor2D(a.array + b.array),
+            Tensor2D._adopt(a.array + b.array),
             parents=[(a, lambda g: g), (b, lambda g: g.sum(axis=0, keepdims=True))],
             op="add",
         )
@@ -151,7 +151,7 @@ def add(a: DiffNode, b: DiffNode) -> DiffNode:
 def scale(a: DiffNode, c: float) -> DiffNode:
     c = float(c)
     return DiffNode(
-        Tensor2D(a.array * c), parents=[(a, lambda g: g * c)], op="scale"
+        Tensor2D._adopt(a.array * c), parents=[(a, lambda g: g * c)], op="scale"
     )
 
 
@@ -165,14 +165,14 @@ def mul_elem(a: DiffNode, c) -> DiffNode:
     if cv.shape != a.shape:
         raise DimensionError(f"mul_elem shape mismatch: {a.shape} * {cv.shape}")
     return DiffNode(
-        Tensor2D(a.array * cv), parents=[(a, lambda g: g * cv)], op="mul_elem"
+        Tensor2D._adopt(a.array * cv), parents=[(a, lambda g: g * cv)], op="mul_elem"
     )
 
 
 def relu(a: DiffNode) -> DiffNode:
     mask = a.array > 0
     return DiffNode(
-        Tensor2D(np.where(mask, a.array, 0.0)),
+        Tensor2D._adopt(np.where(mask, a.array, 0.0)),
         parents=[(a, lambda g: g * mask)],
         op="relu",
     )
@@ -182,32 +182,40 @@ def exp(a: DiffNode) -> DiffNode:
     out = np.exp(a.array)
     if not np.isfinite(out).all():
         raise DegenerateInputError("exp overflowed to a non-finite value")
-    return DiffNode(Tensor2D(out), parents=[(a, lambda g: g * out)], op="exp")
+    return DiffNode(Tensor2D._adopt(out), parents=[(a, lambda g: g * out)], op="exp")
 
 
-def log(a: DiffNode) -> DiffNode:
-    av = a.array
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            out = np.log(av)
-        except FloatingPointError:
-            raise DegenerateInputError("log of a non-positive entry") from None
-    return DiffNode(Tensor2D(out), parents=[(a, lambda g: g / av)], op="log")
+def clamped_log_row_sum(a: DiffNode, floor: float, c: float) -> DiffNode:
+    """``c * sum_j log(max(a_ij + [i == j], floor))`` for each row, as Nx1.
 
+    ``a`` is square; adding one on the diagonal makes a zero diagonal
+    contribute log(1) = 0.  Entries at or below ``floor``, and NaN
+    entries, are clamped to it and pass no gradient.
+    """
+    n, m = a.shape
+    if n != m:
+        raise DimensionError(f"clamped_log_row_sum needs a square matrix, got {a.shape}")
+    floor, c = float(floor), float(c)
+    if not (math.isfinite(floor) and floor > 0.0):
+        raise ParameterError(f"log floor must be positive and finite, got {floor}")
+    guarded = a.array.copy()
+    diag = np.arange(n)
+    guarded[diag, diag] += 1.0
+    keep = guarded > floor
+    np.fmax(guarded, floor, out=guarded)  # fmax, not maximum: NaN becomes floor
+    out = np.log(guarded).sum(axis=1, keepdims=True) * c
 
-def clamp_min(a: DiffNode, floor: float) -> DiffNode:
-    """max(a, floor) elementwise; gradient is blocked where the clamp binds."""
-    mask = a.array > floor
-    return DiffNode(
-        Tensor2D(np.where(mask, a.array, floor)),
-        parents=[(a, lambda g: g * mask)],
-        op="clamp_min",
-    )
+    def pull(g: np.ndarray) -> np.ndarray:
+        d = (g * c) / guarded
+        d *= keep
+        return d
+
+    return DiffNode(Tensor2D._adopt(out), parents=[(a, pull)], op="clamped_log_row_sum")
 
 
 def transpose(a: DiffNode) -> DiffNode:
     return DiffNode(
-        Tensor2D(a.array.T.copy()), parents=[(a, lambda g: g.T)], op="transpose"
+        Tensor2D._adopt(a.array.T.copy()), parents=[(a, lambda g: g.T)], op="transpose"
     )
 
 
@@ -216,7 +224,7 @@ def mean(a: DiffNode) -> DiffNode:
     out = np.array([[a.array.mean()]])
     shape = a.shape
     return DiffNode(
-        Tensor2D(out),
+        Tensor2D._adopt(out),
         parents=[(a, lambda g: np.full(shape, g[0, 0] / n))],
         op="mean",
     )
@@ -226,7 +234,7 @@ def sum_all(a: DiffNode) -> DiffNode:
     out = np.array([[a.array.sum()]])
     shape = a.shape
     return DiffNode(
-        Tensor2D(out),
+        Tensor2D._adopt(out),
         parents=[(a, lambda g: np.full(shape, g[0, 0]))],
         op="sum_all",
     )
@@ -236,7 +244,7 @@ def row_sum(a: DiffNode) -> DiffNode:
     """Sum each row into an Nx1 column."""
     cols = a.shape[1]
     return DiffNode(
-        Tensor2D(a.array.sum(axis=1, keepdims=True)),
+        Tensor2D._adopt(a.array.sum(axis=1, keepdims=True)),
         parents=[(a, lambda g: np.repeat(g, cols, axis=1))],
         op="row_sum",
     )
@@ -251,7 +259,7 @@ def take_rows(a: DiffNode, indices) -> DiffNode:
         np.add.at(out, idx, g)
         return out
 
-    return DiffNode(Tensor2D(a.array[idx]), parents=[(a, pull)], op="take_rows")
+    return DiffNode(Tensor2D._adopt(a.array[idx]), parents=[(a, pull)], op="take_rows")
 
 
 def take_pairs(a: DiffNode, partner) -> DiffNode:
@@ -269,7 +277,9 @@ def take_pairs(a: DiffNode, partner) -> DiffNode:
         return out
 
     return DiffNode(
-        Tensor2D(a.array[rows, idx].reshape(n, 1)), parents=[(a, pull)], op="take_pairs"
+        Tensor2D._adopt(a.array[rows, idx].reshape(n, 1)),
+        parents=[(a, pull)],
+        op="take_pairs",
     )
 
 
@@ -286,7 +296,7 @@ def row_l2_normalize(a: DiffNode) -> DiffNode:
         dot = np.sum(g * out, axis=1, keepdims=True)
         return (g - out * dot) / norms
 
-    return DiffNode(Tensor2D(out), parents=[(a, pull)], op="row_l2_normalize")
+    return DiffNode(Tensor2D._adopt(out), parents=[(a, pull)], op="row_l2_normalize")
 
 
 def masked_softmax_rows(
@@ -298,32 +308,41 @@ def masked_softmax_rows(
     excluded column per row (exact zeros there)."""
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    out = softmax_row(a.value, mask=excluded, temperature=temperature).array
+    value = softmax_row(a.value, mask=excluded, temperature=temperature)
+    out = value.array
     inv_t = 1.0 / float(temperature)
 
     def pull(g: np.ndarray) -> np.ndarray:
-        dot = np.sum(g * out, axis=1, keepdims=True)
-        return (g - dot) * out * inv_t
+        d = g * out
+        dot = d.sum(axis=1, keepdims=True)
+        np.subtract(g, dot, out=d)
+        d *= out
+        d *= inv_t
+        return d
 
-    return DiffNode(Tensor2D(out), parents=[(a, pull)], op="masked_softmax_rows")
+    return DiffNode(value, parents=[(a, pull)], op="masked_softmax_rows")
 
 
 def logsumexp_row(a: DiffNode, excluded: Optional[np.ndarray] = None) -> DiffNode:
-    """Stabilized log-sum-exp of each row (Nx1), skipping excluded entries."""
-    av = a.array
-    n, m = av.shape
-    keep = keep_mask(n, m, excluded)
-    masked = np.where(keep, av, -np.inf)
-    mx = masked.max(axis=1, keepdims=True)
-    e = np.where(keep, np.exp(av - mx), 0.0)
-    s = e.sum(axis=1, keepdims=True)
+    """Stabilized log-sum-exp of each row (Nx1), skipping excluded entries.
+
+    A row whose every entry is excluded sums nothing and gives -inf.
+    """
+    soft = a.array.copy()
+    exclude_entries(soft, excluded, -np.inf)
+    mx = soft.max(axis=1, keepdims=True)
+    soft -= mx
+    np.exp(soft, out=soft)
+    # exp(-inf - mx) is nan, not 0, where mx is -inf or nan.
+    exclude_entries(soft, excluded, 0.0)
+    s = soft.sum(axis=1, keepdims=True)
     out = mx + np.log(s)
-    soft = e / s
+    soft /= s
 
     def pull(g: np.ndarray) -> np.ndarray:
         return g * soft
 
-    return DiffNode(Tensor2D(out), parents=[(a, pull)], op="logsumexp_row")
+    return DiffNode(Tensor2D._adopt(out), parents=[(a, pull)], op="logsumexp_row")
 
 
 def _softmax_ce(lv: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +377,7 @@ def cross_entropy_with_logits(logits: DiffNode, labels) -> DiffNode:
         return g * soft_minus_onehot
 
     return DiffNode(
-        Tensor2D(lse - picked), parents=[(logits, pull)], op="cross_entropy"
+        Tensor2D._adopt(lse - picked), parents=[(logits, pull)], op="cross_entropy"
     )
 
 
@@ -426,7 +445,7 @@ def conv1d(
     parents: list[tuple[DiffNode, Pullback]] = [(x, pull_x), (w, pull_w)]
     if b is not None:
         parents.append((b, lambda g: reshape_grad(g).sum(axis=0, keepdims=True)))
-    return DiffNode(Tensor2D(out), parents=parents, op="conv1d")
+    return DiffNode(Tensor2D._adopt(out), parents=parents, op="conv1d")
 
 
 def max_pool1d(x: DiffNode, channels: int, length: int, width: int) -> DiffNode:
@@ -464,5 +483,7 @@ def max_pool1d(x: DiffNode, channels: int, length: int, width: int) -> DiffNode:
         return dx.reshape(n, channels, span)[:, :, :length].reshape(n, channels * length)
 
     return DiffNode(
-        Tensor2D(best.reshape(n, channels * out_len)), parents=[(x, pull)], op="max_pool1d"
+        Tensor2D._adopt(best.reshape(n, channels * out_len)),
+        parents=[(x, pull)],
+        op="max_pool1d",
     )

@@ -157,6 +157,17 @@ class TrainConfig:
             )
         if self.embed_dim < 1:
             raise ParameterError(f"embedding dimension must be >= 1, got {self.embed_dim}")
+        self.adam_config()  # raises on bad betas or eps
+
+    def adam_config(self) -> AdamConfig:
+        """The optimizer settings; Adam's own checks live in AdamConfig."""
+        return AdamConfig(
+            lr=self.lr,
+            beta1=self.beta1,
+            beta2=self.beta2,
+            eps=self.eps,
+            weight_decay=self.weight_decay,
+        )
 
     @property
     def variant_spec(self) -> VariantSpec:
@@ -408,13 +419,7 @@ def pretrain(
     root = np.random.SeedSequence(run_seed)
     init_seq, train_seq = root.spawn(2)
     params = init_model(model_config, np.random.default_rng(init_seq))
-    adam_config = AdamConfig(
-        lr=config.lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-        weight_decay=config.weight_decay,
-    )
+    adam_config = config.adam_config()
     state = init_adam_state(params.values())
 
     epoch_seqs = train_seq.spawn(config.epochs)

@@ -216,11 +216,12 @@ def loss_mid(
     if h.shape[0] != n:
         raise DimensionError(f"graph has {n} nodes but batch has {h.shape[0]} rows")
     a = sim.alpha.array
-    off_diag = a[~np.eye(n, dtype=bool)]
-    underflow = int(np.count_nonzero(off_diag < UNDERFLOW_FLOOR))
+    underflow = int(
+        np.count_nonzero(a < UNDERFLOW_FLOOR)
+        - np.count_nonzero(np.diagonal(a) < UNDERFLOW_FLOOR)
+    )
     flags = ("underflow_clamped",) if underflow else ()
-    guarded = ad.clamp_min(ad.add(sim.node, ad.constant(np.eye(n))), UNDERFLOW_FLOOR)
-    per = ad.scale(ad.row_sum(ad.log(guarded)), -1.0 / (n - 1))
+    per = ad.clamped_log_row_sum(sim.node, UNDERFLOW_FLOOR, -1.0 / (n - 1))
     labels = idx.labels if idx is not None else np.full(n, -1, dtype=np.int64)
     return _finalize("MID", per, labels, flags=flags, underflow_count=underflow)
 

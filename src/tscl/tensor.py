@@ -26,6 +26,21 @@ class Tensor2D:
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
 
+    @classmethod
+    def _adopt(cls, array: np.ndarray) -> "Tensor2D":
+        """Freeze a freshly computed 2-D float64 array without copying it.
+
+        Only for arrays no caller can still write to: the array itself
+        becomes read-only, but a writable view of it would not.
+        """
+        if array.ndim != 2:
+            raise DimensionError(f"Tensor2D requires a 2-D array, got ndim={array.ndim}")
+        a = np.ascontiguousarray(array, dtype=np.float64)
+        a.flags.writeable = False
+        t = object.__new__(cls)
+        object.__setattr__(t, "array", a)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("Tensor2D is immutable")
 
@@ -74,17 +89,18 @@ def as_array(x) -> np.ndarray:
     return a
 
 
-def keep_mask(n: int, m: int, excluded: Optional[np.ndarray]) -> np.ndarray:
-    """(n, m) boolean mask, False at the one ``excluded`` column of each row."""
-    keep = np.ones((n, m), dtype=bool)
-    if excluded is not None:
-        idx = np.asarray(excluded, dtype=np.intp)
-        if idx.shape != (n,):
-            raise DimensionError(
-                f"excluded-index mask must have shape ({n},), got {idx.shape}"
-            )
-        keep[np.arange(n), idx] = False
-    return keep
+def exclude_entries(buf: np.ndarray, excluded: Optional[np.ndarray], fill: float) -> None:
+    """Write ``fill`` in place at the one ``excluded`` column of each row of ``buf``.
+
+    ``excluded=None`` excludes nothing.
+    """
+    if excluded is None:
+        return
+    n = buf.shape[0]
+    idx = np.asarray(excluded, dtype=np.intp)
+    if idx.shape != (n,):
+        raise DimensionError(f"excluded-index mask must have shape ({n},), got {idx.shape}")
+    buf[np.arange(n), idx] = fill
 
 
 def softmax_row(
@@ -96,14 +112,14 @@ def softmax_row(
 
     ``mask``, when given, holds one excluded column index per row; the
     excluded entry is exactly 0 in the output and the remaining entries
-    of the row sum to 1.
+    of the row sum to 1.  All the work happens in one (n, m) buffer.
     """
     a = as_array(x)
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    keep = keep_mask(*a.shape, mask)
-    scaled = a / float(temperature)
-    shifted = scaled - np.max(np.where(keep, scaled, -np.inf), axis=1, keepdims=True)
-    e = np.where(keep, np.exp(shifted), 0.0)
-    out = e / np.sum(e, axis=1, keepdims=True)
-    return Tensor2D(out)
+    e = a / float(temperature)
+    exclude_entries(e, mask, -np.inf)
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return Tensor2D._adopt(e)

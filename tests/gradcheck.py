@@ -1,4 +1,5 @@
-"""Central finite-difference gradient checking, independent of the tape.
+"""Central finite-difference gradient checking, independent of the tape,
+and a bit-level comparison for kernels checked against reference code.
 
 The oracle perturbs one input entry at a time and applies a fixed random
 linear functional to the operation's output, so operations with matrix
@@ -73,3 +74,13 @@ def check_op_gradients(
         numeric = fd_gradient(objective, arrays, i, step=step)
         err = relative_error(analytic, numeric)
         assert err < tol, f"gradient mismatch on input {i}: rel err {err:.3e}"
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Assert equal shapes, NaN at the same places, and identical bits
+    elsewhere (so -0.0 and 0.0 differ).  NaN payloads are not compared."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, f"shape {actual.shape} != {expected.shape}"
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    assert actual[~nan].tobytes() == expected[~nan].tobytes(), "values differ in bits"

@@ -173,8 +173,8 @@ def _separated_pool_input(rng: np.random.Generator, rows: int, cols: int, width:
 def _op_cases(rng: np.random.Generator):
     """(name, arrays, build) triples covering the whole operation set.
 
-    Inputs for kinked operations (relu, clamp_min, max_pool1d) are nudged
-    away from their kink points so central differences stay valid.
+    Inputs for kinked operations (relu, clamped_log_row_sum, max_pool1d) are
+    nudged away from their kink points so central differences stay valid.
     """
     a34 = rng.standard_normal((3, 4))
     b34 = rng.standard_normal((3, 4))
@@ -182,6 +182,8 @@ def _op_cases(rng: np.random.Generator):
     a45 = rng.standard_normal((4, 5))
     away = a34 + 0.3 * np.sign(a34)  # keep |x| >= 0.3 away from the relu kink
     positive = np.abs(a34) + 0.5
+    below_floor = positive[:, :3].copy()
+    below_floor[0, 2] = -1.0  # far below the floor: its gradient is 0
     pool_in = _separated_pool_input(rng, 3, 2 * 8, 2)
     conv_x = rng.standard_normal((3, 2 * 8))
     conv_w = rng.standard_normal((4, 2 * 3))
@@ -199,8 +201,16 @@ def _op_cases(rng: np.random.Generator):
         ("mul_elem", [a34], lambda L: ad.mul_elem(L[0], b34)),
         ("relu", [away], lambda L: ad.relu(L[0])),
         ("exp", [a34], lambda L: ad.exp(L[0])),
-        ("log", [positive], lambda L: ad.log(L[0])),
-        ("clamp_min", [away], lambda L: ad.clamp_min(L[0], 0.0)),
+        (
+            "clamped_log_row_sum",
+            [positive[:, :3]],
+            lambda L: ad.clamped_log_row_sum(L[0], 1e-300, -0.5),
+        ),
+        (
+            "clamped_log_row_sum_below_floor",
+            [below_floor],
+            lambda L: ad.clamped_log_row_sum(L[0], 0.1, 0.5),
+        ),
         ("transpose", [a34], lambda L: ad.transpose(L[0])),
         ("mean", [a34], lambda L: ad.mean(L[0])),
         ("sum_all", [a34], lambda L: ad.sum_all(L[0])),

@@ -12,7 +12,7 @@ from tscl.augment import (
     strong_augment,
     weak_augment,
 )
-from tscl.errors import DimensionError, ParameterError
+from tscl.errors import DegenerateInputError, DimensionError, ParameterError
 
 
 def _batch(rng: np.random.Generator, n=5, channels=2, length=16) -> TimeSeriesBatch:
@@ -51,6 +51,20 @@ class TestBatchContainer:
                 labels=np.array([-1]),
                 label_mask=np.zeros(1, dtype=bool),
                 channels=1,
+                length=4,
+            )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_first_row(self, value):
+        values = np.zeros((4, 8))
+        values[2, 5] = value
+        values[3, 0] = value
+        with pytest.raises(DegenerateInputError, match="row 2 "):
+            TimeSeriesBatch(
+                values=values,
+                labels=np.zeros(4),
+                label_mask=np.zeros(4, dtype=bool),
+                channels=2,
                 length=4,
             )
 

@@ -7,7 +7,7 @@ from tscl import autodiff as ad
 from tscl.errors import DegenerateInputError, DimensionError, ParameterError
 from tscl.tensor import Tensor2D, softmax_row
 
-from gradcheck import check_op_gradients, fd_gradient, relative_error
+from gradcheck import assert_same_bits, check_op_gradients, fd_gradient, relative_error
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -334,11 +334,177 @@ class TestKernelParity:
         np.testing.assert_array_equal(dx, [[0.0, 5.0, 7.0, 0.0]])
 
 
+# Reference kernels: the row softmax and log-sum-exp as first written, with
+# a boolean keep-mask and np.where.  The in-place kernels must match them bit
+# for bit, forward and in the pullback.
+
+
+def _oracle_keep(n, m, excluded):
+    keep = np.ones((n, m), dtype=bool)
+    if excluded is not None:
+        keep[np.arange(n), excluded] = False
+    return keep
+
+
+def _oracle_softmax(a, excluded, temperature, g):
+    """(output, pullback of ``g``) of the masked row softmax."""
+    keep = _oracle_keep(*a.shape, excluded)
+    scaled = a / float(temperature)
+    shifted = scaled - np.max(np.where(keep, scaled, -np.inf), axis=1, keepdims=True)
+    e = np.where(keep, np.exp(shifted), 0.0)
+    out = e / np.sum(e, axis=1, keepdims=True)
+    dot = np.sum(g * out, axis=1, keepdims=True)
+    return out, (g - dot) * out * (1.0 / float(temperature))
+
+
+def _oracle_logsumexp(a, excluded, g):
+    """(output, pullback of ``g``) of the row log-sum-exp."""
+    keep = _oracle_keep(*a.shape, excluded)
+    mx = np.where(keep, a, -np.inf).max(axis=1, keepdims=True)
+    e = np.where(keep, np.exp(a - mx), 0.0)
+    s = e.sum(axis=1, keepdims=True)
+    return mx + np.log(s), g * (e / s)
+
+
+EXCLUSIONS = {
+    "none": lambda n: None,
+    "diagonal": np.arange,
+    "off_diagonal": lambda n: (np.arange(n) + 1) % n,
+}
+
+
+def _kernel_input(rng, n, special):
+    """Square input; with ``special``, about a tenth of the entries (at least
+    one in row 0) hold it, and a -inf input also gets a row of only -inf."""
+    a = 3.0 * randn(rng, n, n)
+    if special is not None:
+        hit = rng.random((n, n)) < 0.1
+        hit[0, rng.integers(n)] = True
+        a[hit] = special
+        if special == -np.inf:
+            a[-1] = -np.inf
+    return a
+
+
+class TestInPlaceKernelParity:
+    @pytest.mark.parametrize("special", [None, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("exclusion", sorted(EXCLUSIONS))
+    @pytest.mark.parametrize("n", [2, 1024])
+    def test_softmax_and_logsumexp_match_reference(self, n, exclusion, special):
+        rng = np.random.default_rng([n, len(exclusion), 0 if special is None else 1])
+        a = _kernel_input(rng, n, special)
+        excluded = EXCLUSIONS[exclusion](n)
+        g = randn(rng, n, n)
+        with np.errstate(all="ignore"):
+            for temperature in (0.2, 1.0):
+                node = ad.masked_softmax_rows(ad.leaf(a), excluded, temperature=temperature)
+                out, dx = _oracle_softmax(a, excluded, temperature, g)
+                assert_same_bits(node.array, out)
+                assert_same_bits(softmax_row(a, excluded, temperature).array, out)
+                (got,) = _pullbacks(node, g)
+                assert_same_bits(got, dx)
+            g_col = g[:, :1]
+            node = ad.logsumexp_row(ad.leaf(a), excluded)
+            out, dx = _oracle_logsumexp(a, excluded, g_col)
+            assert_same_bits(node.array, out)
+            (got,) = _pullbacks(node, g_col)
+            assert_same_bits(got, dx)
+
+    def test_logsumexp_row_with_every_entry_excluded_is_minus_inf(self):
+        a = np.array([[0.5], [-2.0]])
+        excluded = np.zeros(2, dtype=np.intp)
+        g = np.array([[1.0], [2.0]])
+        with np.errstate(all="ignore"):
+            node = ad.logsumexp_row(ad.leaf(a), excluded)
+            out, dx = _oracle_logsumexp(a, excluded, g)
+        np.testing.assert_array_equal(node.array, [[-np.inf], [-np.inf]])
+        assert_same_bits(node.array, out)
+        assert_same_bits(_pullbacks(node, g)[0], dx)
+
+    @pytest.mark.parametrize("kernel", ["softmax", "logsumexp"])
+    def test_excluded_index_shape_checked(self, kernel):
+        x = ad.leaf(np.zeros((3, 3)))
+        with pytest.raises(DimensionError, match=r"shape \(3,\)"):
+            if kernel == "softmax":
+                ad.masked_softmax_rows(x, np.arange(2))
+            else:
+                ad.logsumexp_row(x, np.arange(4))
+
+
+class TestClampedLogRowSum:
+    def test_entry_below_floor_gets_zero_gradient(self):
+        a = np.array([[0.0, 0.5, -3.0], [0.25, 0.0, 0.75], [0.5, 1e-310, 0.0]])
+        node = ad.clamped_log_row_sum(ad.leaf(a), 0.1, -0.5)
+        expected = -0.5 * np.array([np.log(0.5) + np.log(0.1), np.log(0.25) + np.log(0.75),
+                                    np.log(0.5) + np.log(0.1)])
+        np.testing.assert_allclose(node.array[:, 0], expected, rtol=1e-15)
+        (dx,) = _pullbacks(node, np.ones((3, 1)))
+        assert dx[0, 2] == 0.0 and dx[2, 1] == 0.0
+        assert dx[0, 1] == -0.5 / 0.5 and dx[1, 1] == -0.5
+
+    def test_rejects_non_square_and_bad_floor(self):
+        with pytest.raises(DimensionError):
+            ad.clamped_log_row_sum(ad.leaf(np.ones((2, 3))), 1e-300, 1.0)
+        for floor in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                ad.clamped_log_row_sum(ad.leaf(np.ones((2, 2))), floor, 1.0)
+
+
+class TestValueOwnership:
+    """Node values are read-only and may share memory; inputs a caller can
+    still write to are copied."""
+
+    def test_op_outputs_are_read_only(self):
+        rng = np.random.default_rng(3)
+        x = ad.leaf(randn(rng, 4, 3))
+        sq = ad.leaf(np.abs(randn(rng, 4, 4)))
+        outputs = [
+            ad.matmul(x, ad.transpose(x)),
+            ad.add(x, x),
+            ad.scale(x, 2.0),
+            ad.relu(x),
+            ad.row_l2_normalize(x),
+            ad.masked_softmax_rows(sq, np.arange(4), temperature=0.5),
+            ad.logsumexp_row(sq, np.arange(4)),
+            ad.clamped_log_row_sum(sq, 1e-300, -1.0),
+            ad.max_pool1d(x, channels=1, length=3, width=1),
+        ]
+        for node in outputs:
+            assert not node.array.flags.writeable, node.op
+            with pytest.raises(ValueError):
+                node.array[0, 0] = 1.0
+        assert not softmax_row(sq.value).array.flags.writeable
+
+    def test_tensor_and_leaf_copy_writable_input(self):
+        a = np.ones((2, 3))
+        t = Tensor2D(a)
+        node = ad.leaf(a)
+        a[0, 0] = 5.0
+        assert t.array[0, 0] == 1.0 and node.array[0, 0] == 1.0
+        assert not np.shares_memory(a, t.array)
+        assert not np.shares_memory(a, node.array)
+
+    def test_pullbacks_leave_upstream_gradient_unchanged(self):
+        rng = np.random.default_rng(4)
+        sq = ad.leaf(np.abs(randn(rng, 5, 5)))
+        for node in (
+            ad.masked_softmax_rows(sq, np.arange(5), temperature=0.3),
+            ad.logsumexp_row(sq, np.arange(5)),
+            ad.clamped_log_row_sum(sq, 1e-300, -0.25),
+        ):
+            g = randn(rng, *node.shape)
+            kept = g.copy()
+            _pullbacks(node, g)
+            assert g.tobytes() == kept.tobytes(), node.op
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_finite_difference_suite(seed):
     """Every differentiable primitive vs central differences, rel err < 1e-4."""
     rng = np.random.default_rng(seed)
     n, m = 5, 4
+    below_floor = np.abs(randn(rng, n, n)) + 0.5
+    below_floor[1, 3] = -2.0  # far below the floor: its gradient is 0
 
     cases = {
         "matmul": (
@@ -358,10 +524,13 @@ def test_finite_difference_suite(seed):
         # Inputs bounded away from the relu/clamp kinks.
         "relu": (lambda ls: ad.relu(ls[0]), [randn(rng, n, m) + np.sign(randn(rng, n, m)) * 0.2]),
         "exp": (lambda ls: ad.exp(ls[0]), [randn(rng, n, m)]),
-        "log": (lambda ls: ad.log(ls[0]), [np.abs(randn(rng, n, m)) + 0.5]),
-        "clamp_min": (
-            lambda ls: ad.clamp_min(ls[0], 0.0),
-            [randn(rng, n, m) + np.sign(randn(rng, n, m)) * 0.2],
+        "clamped_log_row_sum": (
+            lambda ls: ad.clamped_log_row_sum(ls[0], 1e-300, -0.25),
+            [np.abs(randn(rng, n, n)) + 0.5],
+        ),
+        "clamped_log_row_sum_below_floor": (
+            lambda ls: ad.clamped_log_row_sum(ls[0], 0.1, 0.5),
+            [below_floor],
         ),
         "transpose": (lambda ls: ad.transpose(ls[0]), [randn(rng, n, m)]),
         "mean": (lambda ls: ad.mean(ls[0]), [randn(rng, n, m)]),

@@ -430,6 +430,26 @@ def test_non_finite_rate_or_temperature_exits_one(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ("train.eps=0", "eps must be positive and finite"),
+        ("train.beta1=1.0", "betas must lie in [0, 1)"),
+        ("train.beta2=NaN", "betas must lie in [0, 1)"),
+    ],
+)
+def test_bad_adam_setting_exits_one_with_train_prefix(workspace, assignment, message, capsys):
+    code = run_cli(
+        ["pretrain", "--config", str(workspace["config"]),
+         "--out", str(workspace["root"] / "bad_adam"),
+         "--set", assignment]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{workspace['config']}: train section: " in err
+    assert message in err
+
+
 def test_no_subcommand_is_usage_error():
     assert run_cli([]) == 1
 

@@ -120,6 +120,16 @@ def test_config_rejects_non_finite_rates_and_loss_settings(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("eps", 0.0), ("eps", float("nan")), ("beta1", 1.0), ("beta1", -0.1),
+     ("beta2", float("nan"))],
+)
+def test_config_rejects_bad_adam_settings(name, value):
+    with pytest.raises(ParameterError):
+        TrainConfig(**{name: value})
+
+
 def test_config_dict_round_trip():
     config = small_config(augment=AugmentParams(weak_jitter=0.02), seeds=(3, 4))
     assert TrainConfig.from_dict(config.to_dict()) == config

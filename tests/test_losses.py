@@ -12,8 +12,9 @@ from tscl.errors import (
     NormalizationError,
     ParameterError,
 )
-from tscl.graph import build_similarity
+from tscl.graph import SimilarityMatrix, build_similarity
 from tscl.losses import (
+    UNDERFLOW_FLOOR,
     BatchIndexing,
     LossReport,
     loss_cc,
@@ -25,7 +26,7 @@ from tscl.losses import (
     two_view_indexing,
 )
 
-from gradcheck import fd_gradient, relative_error
+from gradcheck import assert_same_bits, fd_gradient, relative_error
 
 LOG3 = 1.0986122886681098
 LOG4 = 1.3862943611198906
@@ -198,6 +199,59 @@ class TestMultiInstanceLoss:
         got = np.array([v for _, _, v in report.per_anchor])
         npt.assert_allclose(got, expected, rtol=0, atol=1e-10)
         assert report.underflow_count == 0
+
+
+def _oracle_mid(a: np.ndarray, g: np.ndarray):
+    """The MID chain as first built from autodiff ops, add(alpha, eye) ->
+    clamp_min -> log -> row_sum -> scale: (per-anchor column, pullback of
+    the Nx1 ``g`` onto alpha, off-diagonal underflow count)."""
+    n = a.shape[0]
+    c = -1.0 / (n - 1)
+    x = a + np.eye(n)
+    keep = x > UNDERFLOW_FLOOR
+    v = np.where(keep, x, UNDERFLOW_FLOOR)
+    out = np.log(v).sum(axis=1, keepdims=True) * c
+    dx = (np.repeat(g * c, n, axis=1) / v) * keep
+    underflow = int(np.count_nonzero(a[~np.eye(n, dtype=bool)] < UNDERFLOW_FLOOR))
+    return out, dx, underflow
+
+
+def _mid_alpha(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    """A similarity matrix from the instance graph, then edited per ``kind``."""
+    alpha = build_similarity(ad.leaf(rng.standard_normal((n, 3))), 0.2).alpha.array.copy()
+    cells = rng.integers(0, n, size=(max(2, n // 8), 2))
+    rows, cols = cells[:, 0], cells[:, 1]
+    if kind == "below_floor":
+        alpha[rows, cols] = rng.choice([0.0, -0.0, 1e-310, UNDERFLOW_FLOOR, -0.5], rows.size)
+        alpha[0, 1] = 0.0
+    elif kind in ("nan", "inf", "-inf"):
+        alpha[rows, cols] = float(kind)
+    elif kind == "diagonal":
+        alpha[np.arange(n), np.arange(n)] = rng.choice([0.5, -2.0, 1e-310, np.nan], n)
+    return alpha
+
+
+class TestMultiInstanceParity:
+    @pytest.mark.parametrize("kind", ["graph", "below_floor", "nan", "inf", "-inf", "diagonal"])
+    @pytest.mark.parametrize("n", [2, 1024])
+    def test_matches_reference_chain(self, n, kind):
+        rng = np.random.default_rng([n, len(kind)])
+        a = _mid_alpha(rng, n, kind)
+        node = ad.leaf(a)
+        report = loss_mid(node, SimilarityMatrix(n=n, node=node))
+        ad.backward(report.node)
+        with np.errstate(all="ignore"):
+            out, dx, underflow = _oracle_mid(a, np.full((n, 1), 1.0 / n))
+        values = np.array([v for _, _, v in report.per_anchor]).reshape(n, 1)
+        assert_same_bits(values, out)
+        assert_same_bits(node.grad, dx)
+        assert report.underflow_count == underflow
+        assert report.flags == (("underflow_clamped",) if underflow else ())
+        g = rng.standard_normal((n, 1))
+        per = ad.clamped_log_row_sum(node, UNDERFLOW_FLOOR, -1.0 / (n - 1))
+        with np.errstate(all="ignore"):
+            _, dx, _ = _oracle_mid(a, g)
+        assert_same_bits(per.parents[0][1](g), dx)
 
 
 class TestConsistencyLoss:
