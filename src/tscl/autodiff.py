@@ -306,8 +306,6 @@ def masked_softmax_rows(
 ) -> DiffNode:
     """Differentiable row softmax of a/temperature with one optional
     excluded column per row (exact zeros there)."""
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
     value = softmax_row(a.value, mask=excluded, temperature=temperature)
     out = value.array
     inv_t = 1.0 / float(temperature)

@@ -29,6 +29,7 @@ from tscl.errors import (
     UndefinedBoundError,
 )
 from tscl.losses import BatchIndexing, check_unit_rows, two_view_indexing
+from tscl.tensor import check_temperature
 
 #: Temperatures a bound sweep covers unless told otherwise.
 FUZZ_TEMPERATURES = (0.2, 0.5, 1.0)
@@ -110,10 +111,7 @@ def _prepare(
     if not np.isfinite(sims).all():
         raise DegenerateInputError("similarity matrix has non-finite entries")
     for temperature in temperatures:
-        if not (math.isfinite(temperature) and temperature > 0):
-            raise ParameterError(
-                f"temperature must be positive and finite, got {temperature}"
-            )
+        check_temperature(temperature)
     members = np.flatnonzero(idx.labels == class_index)
     if members.size < 2:
         raise DegenerateClassError(

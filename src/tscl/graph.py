@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tscl import autodiff as ad
-from tscl.errors import BatchTooSmallError, InvalidGraphError, ParameterError
+from tscl.errors import BatchTooSmallError, InvalidGraphError
 from tscl.tensor import Tensor2D
 
 
@@ -46,8 +46,6 @@ def build_similarity(h: ad.DiffNode, temperature: float) -> SimilarityMatrix:
     n = h.shape[0]
     if n < 2:
         raise BatchTooSmallError(f"similarity needs at least 2 rows, got {n}")
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
     base = ad.row_l2_normalize(h)
     sims = ad.matmul(base, ad.transpose(base))
     alpha = ad.masked_softmax_rows(sims, excluded=np.arange(n), temperature=temperature)

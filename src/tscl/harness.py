@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -48,8 +49,8 @@ from .model import (
     mlp_project,
     rebuild_with_values,
 )
-from .optim import AdamConfig, AdamState, adam_step, adam_update, init_adam_state
-from .tensor import Tensor2D
+from .optim import AdamConfig, adam_step
+from .tensor import Tensor2D, check_temperature
 
 __all__ = [
     "VariantSpec",
@@ -107,6 +108,17 @@ VARIANTS: dict[str, VariantSpec] = {
 # Configuration
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise unless ``value`` is an int; a bool or an integral float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ParameterError(f"{name} must be true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one pretraining run."""
@@ -135,6 +147,12 @@ class TrainConfig:
         if self.variant not in VARIANTS:
             known = ", ".join(sorted(VARIANTS))
             raise ParameterError(f"unknown variant {self.variant!r} (known: {known})")
+        for name in ("epochs", "batch_size", "embed_dim", "kernel", "pool_width"):
+            _check_integer(name, getattr(self, name))
+        for name in ("seeds", "conv_channels"):
+            for value in getattr(self, name):
+                _check_integer(f"{name} entry", value)
+        _check_bool("self_loop", self.self_loop)
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
@@ -147,8 +165,7 @@ class TrainConfig:
                 raise ParameterError(f"{name} must be finite, got {value}")
         if self.lr < 0.0 or self.weight_decay < 0.0:
             raise ParameterError("learning rate and weight decay must be nonnegative")
-        if self.temperature <= 0.0:
-            raise ParameterError(f"temperature must be positive, got {self.temperature}")
+        check_temperature(self.temperature)
         if self.lambda_graph < 0.0 or self.lambda_cls < 0.0:
             raise ParameterError("loss weights must be nonnegative")
         if not 0.0 < self.label_fraction <= 1.0:
@@ -185,10 +202,9 @@ class TrainConfig:
         d = dict(d)
         if "augment" in d and isinstance(d["augment"], dict):
             d["augment"] = AugmentParams(**d["augment"])
-        if "conv_channels" in d:
-            d["conv_channels"] = tuple(int(c) for c in d["conv_channels"])
-        if "seeds" in d:
-            d["seeds"] = tuple(int(s) for s in d["seeds"])
+        for name in ("conv_channels", "seeds"):
+            if name in d:
+                d[name] = tuple(d[name])
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(d) - known
         if extra:
@@ -372,18 +388,6 @@ def _forward_batch(
     return combined, tracked
 
 
-def _adam_update(
-    adam_config: AdamConfig, state: AdamState, nodes: dict[str, ad.DiffNode]
-) -> tuple[AdamState, dict[str, Tensor2D]]:
-    """One Adam step over the gradients ``backward`` left on ``nodes``."""
-    values = {name: node.value for name, node in nodes.items()}
-    grads = {
-        name: None if node.grad is None else Tensor2D(node.grad)
-        for name, node in nodes.items()
-    }
-    return adam_step(adam_config, state, values, grads)
-
-
 def _raise_if_non_finite(
     kind: str, arrays: dict[str, Optional[np.ndarray]], epoch_index: int
 ) -> None:
@@ -420,7 +424,9 @@ def pretrain(
     init_seq, train_seq = root.spawn(2)
     params = init_model(model_config, np.random.default_rng(init_seq))
     adam_config = config.adam_config()
-    state = init_adam_state(params.values())
+    first_moment = {name: np.zeros(node.shape) for name, node in params.named().items()}
+    second_moment = {name: np.zeros_like(m) for name, m in first_moment.items()}
+    step = 0
 
     epoch_seqs = train_seq.spawn(config.epochs)
     stats: list[EpochStats] = []
@@ -470,7 +476,14 @@ def pretrain(
             _raise_if_non_finite(
                 "gradient", {name: node.grad for name, node in nodes.items()}, epoch_index
             )
-            state, new_values = _adam_update(adam_config, state, nodes)
+            step += 1  # counts every step, also for parameters left without a gradient
+            new_values = {name: node.value for name, node in nodes.items()}
+            for name, node in nodes.items():
+                if node.grad is not None:  # the others keep their value and moments
+                    x = node.value.array.copy()
+                    adam_step(adam_config, step, x, node.grad,
+                              first_moment[name], second_moment[name])
+                    new_values[name] = Tensor2D._adopt(x)
             _raise_if_non_finite(
                 "value", {name: v.array for name, v in new_values.items()}, epoch_index
             )
@@ -576,7 +589,7 @@ def linear_probe(
         g = inv_n * soft_minus_onehot
         np.matmul(x.T, g, out=grad_weight)
         g.sum(axis=0, keepdims=True, out=grad_bias)
-        adam_update(adam_config, step, flat, grad, first_moment, second_moment)
+        adam_step(adam_config, step, flat, grad, first_moment, second_moment)
 
     clf = ClassifierParams(weight=ad.leaf(Tensor2D(weight)), bias=ad.leaf(Tensor2D(bias)))
     test_logits = classify(ad.constant(test_h.array), clf)

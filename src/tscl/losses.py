@@ -20,7 +20,7 @@ from tscl.errors import (
     ParameterError,
 )
 from tscl.graph import SimilarityMatrix
-from tscl.tensor import as_array
+from tscl.tensor import as_array, check_temperature
 
 # Probabilities below this are clamped before log; each clamp is counted.
 UNDERFLOW_FLOOR = 1e-300
@@ -151,8 +151,7 @@ def check_unit_rows(values, tol: float = 1e-6) -> np.ndarray:
 
 
 def _scaled_similarities(z: ad.DiffNode, temperature: float) -> ad.DiffNode:
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
+    check_temperature(temperature)
     if z.shape[0] < 2:
         raise BatchTooSmallError(f"contrastive loss needs n >= 2, got {z.shape[0]}")
     return ad.scale(ad.matmul(z, ad.transpose(z)), 1.0 / temperature)

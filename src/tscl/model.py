@@ -1,8 +1,9 @@
 """Encoder, projection heads, linear classifier, and checkpointing.
 
 Parameters live in frozen dataclasses holding differentiable leaf nodes;
-a training step reads gradients off those leaves and rebuilds the
-dataclasses with updated values, so no tensor is ever mutated in place.
+a training step reads gradients off those leaves, updates a fresh copy of
+each value, and rebuilds the dataclasses around the frozen copies, so no
+tensor is ever mutated in place.
 """
 
 from __future__ import annotations
@@ -301,8 +302,11 @@ def save_values(values: dict[str, Tensor2D], path: str | Path) -> None:
 
 def load_values(path: str | Path) -> dict[str, Tensor2D]:
     """Read a ``save_values`` checkpoint; a malformed one raises ParameterError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ParameterError(f"{path}: invalid JSON ({exc})")
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != "tscl-params-v1":
         raise ParameterError(f"unrecognized checkpoint format {fmt!r} in {path}")

@@ -1,10 +1,8 @@
 """Bias-corrected Adam with optional L2 weight decay.
 
-:func:`adam_update` is the update itself, on arrays and in place.
-:func:`adam_step` is its functional form over named parameters: a step
-consumes the current values, gradients, and moment state and returns
-fresh ones; nothing is mutated, and parameters are visited in
-sorted-name order so updates are reproducible.
+:func:`adam_step` updates one array and its two moment arrays in place.
+The caller owns those arrays and the step counter: pretraining keeps one
+pair of moments per named parameter, the linear probe one flat buffer.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from tscl.errors import ParameterError
-from tscl.tensor import Tensor2D
 
 
 @dataclass(frozen=True)
@@ -41,23 +38,7 @@ class AdamConfig:
             )
 
 
-@dataclass(frozen=True)
-class AdamState:
-    step: int
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
-
-
-def init_adam_state(values: dict[str, Tensor2D]) -> AdamState:
-    zeros = {name: np.zeros(t.shape) for name, t in sorted(values.items())}
-    return AdamState(
-        step=0,
-        first_moment={k: v.copy() for k, v in zeros.items()},
-        second_moment=zeros,
-    )
-
-
-def adam_update(
+def adam_step(
     config: AdamConfig,
     step: int,
     value: np.ndarray,
@@ -71,6 +52,10 @@ def adam_update(
     Every operation is elementwise, so parameters laid out side by side
     in one flat buffer get the same bits as when updated one by one.
     """
+    if grad.shape != value.shape:
+        raise ParameterError(
+            f"gradient shape {grad.shape} does not match parameter shape {value.shape}"
+        )
     if config.weight_decay:
         grad = grad + config.weight_decay * value
     first_moment *= config.beta1
@@ -81,37 +66,3 @@ def adam_update(
     v_hat = second_moment / (1.0 - config.beta2**step)
     value -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
 
-
-def adam_step(
-    config: AdamConfig,
-    state: AdamState,
-    values: dict[str, Tensor2D],
-    grads: dict[str, Tensor2D | None],
-) -> tuple[AdamState, dict[str, Tensor2D]]:
-    """One update. Parameters whose gradient is None pass through untouched."""
-    step = state.step + 1
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    new_values: dict[str, Tensor2D] = {}
-    for name in sorted(values):
-        x = values[name].array
-        grad = grads.get(name)
-        if grad is None:
-            new_m[name] = state.first_moment[name]
-            new_v[name] = state.second_moment[name]
-            new_values[name] = values[name]
-            continue
-        g = grad.array
-        if g.shape != x.shape:
-            raise ParameterError(
-                f"gradient shape {g.shape} does not match parameter "
-                f"{name} with shape {x.shape}"
-            )
-        x = x.copy()
-        m = state.first_moment[name].copy()
-        v = state.second_moment[name].copy()
-        adam_update(config, step, x, g, m, v)
-        new_m[name] = m
-        new_v[name] = v
-        new_values[name] = Tensor2D(x)
-    return AdamState(step=step, first_moment=new_m, second_moment=new_v), new_values

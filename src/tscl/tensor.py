@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,6 +104,12 @@ def exclude_entries(buf: np.ndarray, excluded: Optional[np.ndarray], fill: float
     buf[np.arange(n), idx] = fill
 
 
+def check_temperature(temperature: float) -> None:
+    """Raise unless ``temperature`` is a positive, finite number."""
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ParameterError(f"temperature must be positive and finite, got {temperature}")
+
+
 def softmax_row(
     x,
     mask: Optional[np.ndarray] = None,
@@ -115,8 +122,7 @@ def softmax_row(
     of the row sum to 1.  All the work happens in one (n, m) buffer.
     """
     a = as_array(x)
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
+    check_temperature(temperature)
     e = a / float(temperature)
     exclude_entries(e, mask, -np.inf)
     e -= e.max(axis=1, keepdims=True)

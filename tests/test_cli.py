@@ -311,6 +311,17 @@ def test_probe_malformed_checkpoint_exits_one(workspace, pretrain_run, capsys, d
         assert "array 'projection.w1' needs both 'shape' and 'data'" in err
 
 
+def test_probe_checkpoint_that_is_not_json_exits_one_naming_it(workspace, capsys):
+    ckpt = workspace["root"] / "params_not_json.json"
+    ckpt.write_text("not a checkpoint\n")
+    code = run_cli(
+        ["probe", "--config", str(workspace["config"]), "--params", str(ckpt),
+         "--out", str(workspace["root"] / "probe_not_json")]
+    )
+    assert code == 1
+    assert f"error: {ckpt}: invalid JSON" in capsys.readouterr().err
+
+
 def test_probe_checkpoint_of_other_width_exits_one(workspace, pretrain_run, capsys):
     # The checkpoint was trained at embed_dim 8; the probed model has 16.
     code = run_cli(
@@ -448,6 +459,30 @@ def test_bad_adam_setting_exits_one_with_train_prefix(workspace, assignment, mes
     err = capsys.readouterr().err
     assert f"{workspace['config']}: train section: " in err
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ("train.batch_size=2.5", "batch_size must be an integer, got 2.5"),
+        ("train.seeds=[1.5]", "seeds entry must be an integer, got 1.5"),
+        ("train.conv_channels=[4.7]", "conv_channels entry must be an integer, got 4.7"),
+        ("train.epochs=true", "epochs must be an integer, got True"),
+        ('train.self_loop="no"', "self_loop must be true or false, got 'no'"),
+    ],
+)
+def test_mistyped_train_field_exits_one_with_train_prefix(
+    workspace, assignment, message, capsys
+):
+    code = run_cli(
+        ["pretrain", "--config", str(workspace["config"]),
+         "--out", str(workspace["root"] / "mistyped_train"),
+         "--set", assignment]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {workspace['config']}: train section: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_no_subcommand_is_usage_error():

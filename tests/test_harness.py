@@ -30,7 +30,7 @@ from tscl.harness import (
 )
 from tscl.metrics import evaluate
 from tscl.model import ClassifierParams, classify, encode, init_model, save_values
-from tscl.optim import AdamConfig, adam_step, init_adam_state
+from tscl.optim import AdamConfig, adam_step
 from tscl.tensor import Tensor2D
 
 IDENTITY_AUGMENT = AugmentParams(
@@ -249,8 +249,8 @@ def _three_step_epochs():
     return data, config
 
 
-def test_non_finite_gradient_aborts_naming_the_parameter(monkeypatch):
-    data, config = _three_step_epochs()
+def _track_params(monkeypatch) -> dict:
+    """Make ``current["params"]`` follow the parameters ``pretrain`` holds."""
     current = {}
 
     def keep(fn):
@@ -259,6 +259,14 @@ def test_non_finite_gradient_aborts_naming_the_parameter(monkeypatch):
             return current["params"]
         return wrapped
 
+    monkeypatch.setattr(harness, "init_model", keep(harness.init_model))
+    monkeypatch.setattr(harness, "rebuild_with_values", keep(harness.rebuild_with_values))
+    return current
+
+
+def test_non_finite_gradient_aborts_naming_the_parameter(monkeypatch):
+    data, config = _three_step_epochs()
+    current = _track_params(monkeypatch)
     real_backward = harness.ad.backward
     calls = []
 
@@ -269,8 +277,6 @@ def test_non_finite_gradient_aborts_naming_the_parameter(monkeypatch):
             leaf = current["params"].encoder.conv_weights[0]
             leaf.grad = np.where(leaf.grad > 0, np.nan, leaf.grad)
 
-    monkeypatch.setattr(harness, "init_model", keep(harness.init_model))
-    monkeypatch.setattr(harness, "rebuild_with_values", keep(harness.rebuild_with_values))
     monkeypatch.setattr(harness.ad, "backward", poisoned_backward)
     with pytest.raises(TrainingDivergedError) as excinfo:
         pretrain(config, data, seed=1)
@@ -280,23 +286,40 @@ def test_non_finite_gradient_aborts_naming_the_parameter(monkeypatch):
 
 def test_non_finite_value_after_adam_aborts_naming_the_parameter(monkeypatch):
     data, config = _three_step_epochs()
+    current = _track_params(monkeypatch)
     real_step = harness.adam_step
-    calls = []
 
-    def poisoned_step(*args, **kwargs):
-        state, values = real_step(*args, **kwargs)
-        calls.append(1)
-        if len(calls) == 8:  # the second step of epoch 3
-            bad = values["projection.w2"].array.copy()
-            bad[0, 0] = np.inf
-            values = {**values, "projection.w2": Tensor2D(bad)}
-        return state, values
+    def poisoned_step(adam_config, step, value, *rest):
+        # The value passed in is a copy of the parameter's current value.
+        is_w2 = np.array_equal(value, current["params"].projection.w2.value.array)
+        real_step(adam_config, step, value, *rest)
+        if step == 8 and is_w2:  # the second step of epoch 3
+            value[0, 0] = np.inf
 
     monkeypatch.setattr(harness, "adam_step", poisoned_step)
     with pytest.raises(TrainingDivergedError) as excinfo:
         pretrain(config, data, seed=1)
     assert excinfo.value.last_good_epoch == 2
     assert str(excinfo.value) == "non-finite value of projection.w2 in epoch 3"
+
+
+@pytest.mark.parametrize("variant", ["mlp_mid", "gcn_mid"])
+def test_parameters_without_a_gradient_keep_their_initial_values(variant):
+    # Without the ID and CC terms neither the projection nor the classifier
+    # receives a gradient, so Adam must leave them alone: an update with a
+    # zero gradient would still apply weight decay.
+    data, _ = _three_step_epochs()
+    config = small_config(variant=variant, epochs=2, batch_size=8, embed_dim=4,
+                          conv_channels=(4,))
+    initial = init_model(
+        model_config_for(config, data),
+        np.random.default_rng(np.random.SeedSequence(1).spawn(2)[0]),
+    ).values()
+    trained = pretrain(config, data, seed=1)[0].values()
+    untouched = ("projection.w1", "projection.w2", "classifier.weight", "classifier.bias")
+    for name, value in initial.items():
+        same = trained[name].array.tobytes() == value.array.tobytes()
+        assert same == (name in untouched), name
 
 
 def test_dead_graph_head_is_reported_as_divergence():
@@ -354,16 +377,15 @@ def _autodiff_probe(params, model_config, train, test, epochs, lr):
         bias=ad.leaf(Tensor2D.zeros(1, n_classes)),
     )
     adam_config = AdamConfig(lr=lr)
-    state = init_adam_state({name: node.value for name, node in clf.named().items()})
-    for _ in range(epochs):
+    moments = {name: (np.zeros(node.shape), np.zeros(node.shape))
+               for name, node in clf.named().items()}
+    for step in range(1, epochs + 1):
         ad.backward(ad.mean(ad.cross_entropy_with_logits(classify(features, clf), labels)))
-        nodes = clf.named()
-        state, new_values = adam_step(
-            adam_config,
-            state,
-            {name: node.value for name, node in nodes.items()},
-            {name: Tensor2D(node.grad) for name, node in nodes.items()},
-        )
+        new_values = {}
+        for name, node in clf.named().items():
+            x = node.value.array.copy()
+            adam_step(adam_config, step, x, node.grad, *moments[name])
+            new_values[name] = Tensor2D(x)
         clf = ClassifierParams(
             weight=ad.leaf(new_values["classifier.weight"]),
             bias=ad.leaf(new_values["classifier.bias"]),

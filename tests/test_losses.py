@@ -25,6 +25,7 @@ from tscl.losses import (
     loss_uc,
     two_view_indexing,
 )
+from tscl.tensor import softmax_row
 
 from gradcheck import assert_same_bits, fd_gradient, relative_error
 
@@ -314,6 +315,33 @@ class TestCombinedLoss:
         mid = self._scalar_report("MID", 1.0)
         with pytest.raises(ParameterError, match="nonnegative"):
             loss_combined(mid, mid, mid, lambda_graph=-1.0, lambda_cls=1.0)
+
+
+def _temperature_entry_points():
+    rng = np.random.default_rng(12)
+    z = ad.leaf(_unit(rng, 6, 4))
+    h = ad.leaf(rng.standard_normal((6, 4)))
+    idx = two_view_indexing(np.array([0, 1, 1]))
+    sims = z.array @ z.array.T
+    return {
+        "softmax_row": lambda t: softmax_row(sims, temperature=t),
+        "masked_softmax_rows": lambda t: ad.masked_softmax_rows(
+            ad.leaf(sims), excluded=np.arange(6), temperature=t
+        ),
+        "build_similarity": lambda t: build_similarity(h, temperature=t),
+        "loss_id": lambda t: loss_id(z, idx, temperature=t),
+        "loss_sc": lambda t: loss_sc(z, idx, temperature=t),
+    }
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "entry", ["softmax_row", "masked_softmax_rows", "build_similarity", "loss_id", "loss_sc"]
+)
+def test_bad_temperature_is_rejected_by_every_entry_point(entry, temperature):
+    call = _temperature_entry_points()[entry]
+    with pytest.raises(ParameterError, match="temperature must be positive and finite"):
+        call(temperature)
 
 
 class TestSharedProperties:
