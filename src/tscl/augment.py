@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tscl.errors import DegenerateInputError, DimensionError, ParameterError
+from tscl.errors import DegenerateInputError, DimensionError, ParameterError, check_integer
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ class AugmentParams:
             raise ParameterError(
                 f"noise scales must be finite and nonnegative, got {scales}"
             )
+        check_integer("max_segments", self.max_segments)
         if self.max_segments < 1:
             raise ParameterError(
                 f"max_segments must be >= 1, got {self.max_segments}"

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from tscl.errors import DegenerateInputError, DimensionError, ParameterError
-from tscl.tensor import Tensor2D, as_array, exclude_entries, softmax_row
+from tscl.tensor import Tensor2D, as_array, softmax_row, softmax_rows_inplace
 
 Pullback = Callable[[np.ndarray], np.ndarray]
 
@@ -327,15 +327,7 @@ def logsumexp_row(a: DiffNode, excluded: Optional[np.ndarray] = None) -> DiffNod
     A row whose every entry is excluded sums nothing and gives -inf.
     """
     soft = a.array.copy()
-    exclude_entries(soft, excluded, -np.inf)
-    mx = soft.max(axis=1, keepdims=True)
-    soft -= mx
-    np.exp(soft, out=soft)
-    # exp(-inf - mx) is nan, not 0, where mx is -inf or nan.
-    exclude_entries(soft, excluded, 0.0)
-    s = soft.sum(axis=1, keepdims=True)
-    out = mx + np.log(s)
-    soft /= s
+    out = softmax_rows_inplace(soft, excluded)
 
     def pull(g: np.ndarray) -> np.ndarray:
         return g * soft
@@ -349,14 +341,10 @@ def _softmax_ce(lv: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The second array is the gradient of the per-row cross-entropy with
     respect to the logits.  ``y`` must already lie in [0, C).
     """
-    n, c = lv.shape
-    mx = lv.max(axis=1, keepdims=True)
-    e = np.exp(lv - mx)
-    s = e.sum(axis=1, keepdims=True)
-    soft = e / s
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), y] = 1.0
-    return mx + np.log(s), soft - onehot
+    soft = lv.copy()
+    lse = softmax_rows_inplace(soft)
+    soft[np.arange(lv.shape[0]), y] -= 1.0
+    return lse, soft
 
 
 def cross_entropy_with_logits(logits: DiffNode, labels) -> DiffNode:

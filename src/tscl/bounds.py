@@ -29,10 +29,13 @@ from tscl.errors import (
     UndefinedBoundError,
 )
 from tscl.losses import BatchIndexing, check_unit_rows, two_view_indexing
-from tscl.tensor import check_temperature
+from tscl.tensor import check_temperature, softmax_rows_inplace
 
 #: Temperatures a bound sweep covers unless told otherwise.
 FUZZ_TEMPERATURES = (0.2, 0.5, 1.0)
+
+#: A slack (actual minus bound) below this is a violation; above it, rounding.
+SLACK_FLOOR = -1e-9
 
 
 @dataclass(frozen=True)
@@ -169,15 +172,13 @@ def _anchor_stats(
     complement: np.ndarray,
     temperature: float,
 ) -> _AnchorStats:
-    scaled = sims / temperature
     p = members.size
-    rows = scaled[members]
-    mean_same = (rows[:, members].sum(axis=1) - scaled[members, members]) / (p - 1)
-    mean_comp = rows[:, complement].mean(axis=1)
-    rows[np.arange(p), members] = -np.inf
-    peak = rows.max(axis=1)
-    lse = peak + np.log(np.exp(rows - peak[:, None]).sum(axis=1))
-    positive = scaled[members, idx.partner[members]]
+    anchor = np.arange(p)
+    rows = sims[members] / temperature  # the members' rows of the scaled matrix
+    mean_same = (rows[:, members].sum(axis=1) - rows[anchor, members]) / (p - 1)
+    mean_comp = rows[:, complement].sum(axis=1) / complement.size  # what np.mean computes
+    positive = rows[anchor, idx.partner[members]]
+    lse = softmax_rows_inplace(rows, members)[:, 0]
     return _AnchorStats(mean_same, mean_comp, lse, positive)
 
 
@@ -358,7 +359,6 @@ def fuzz_bounds(
     max_dim: int = 8,
     max_classes: int = 4,
     temperatures: tuple[float, ...] = FUZZ_TEMPERATURES,
-    slack_floor: float = -1e-9,
     equality_tol: float = 1e-12,
 ) -> FuzzSummary:
     """Random-configuration sweep asserting actual >= bound everywhere.
@@ -366,6 +366,7 @@ def fuzz_bounds(
     Each configuration is a two-view batch of unit-norm embeddings with
     random labels; both bounds are evaluated for every class present with
     at least two members and a nonempty complement, at every temperature.
+    A slack below :data:`SLACK_FLOOR` counts as a violation.
     """
     if configurations < 1:
         raise ParameterError(f"need at least one configuration, got {configurations}")
@@ -412,7 +413,7 @@ def fuzz_bounds(
                     if slack < worst_slack:
                         worst_slack = slack
                         worst_config = config
-                    if slack < slack_floor:
+                    if slack < SLACK_FLOOR:
                         violations += 1
                     if equal:
                         equality_evaluations += 1

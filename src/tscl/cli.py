@@ -42,9 +42,9 @@ import numpy as np
 
 from . import __version__
 from .augment import TimeSeriesBatch
-from .bounds import FUZZ_TEMPERATURES, bound_sc, bound_uc, fuzz_bounds
+from .bounds import FUZZ_TEMPERATURES, SLACK_FLOOR, bound_sc, bound_uc, fuzz_bounds
 from .data import SynthSpec, generate, load_delimited, save_delimited, split_labels, stratified_split
-from .errors import ParameterError, TrainingDivergedError
+from .errors import ParameterError, TrainingDivergedError, check_integer
 from .harness import (
     RunRecord,
     TrainConfig,
@@ -182,8 +182,6 @@ def _train_config(doc: dict, path: str) -> TrainConfig:
 def _synth_spec(doc: dict, path: str) -> tuple[SynthSpec, float]:
     sec = dict(_section(doc, "synth", path))
     test_fraction = sec.pop("test_fraction", 0.2)
-    if "class_counts" in sec:
-        sec["class_counts"] = tuple(int(c) for c in sec["class_counts"])
     known = {f.name for f in dataclasses.fields(SynthSpec)}
     extra = set(sec) - known
     if extra:
@@ -204,11 +202,20 @@ def _load_dataset(doc: dict, path: str, which: str) -> TimeSeriesBatch:
     for field_name in (f"{which}_path", "channels", "length"):
         if field_name not in sec:
             raise ParameterError(f"{path}: data section: missing field {field_name!r}")
+    data_path = sec[f"{which}_path"]
+    try:
+        if not isinstance(data_path, str):
+            raise ParameterError(f"{which}_path must be a string, got {data_path!r}")
+        for field_name in ("channels", "length", "n_classes"):
+            if field_name in sec:
+                check_integer(field_name, sec[field_name])
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: data section: {exc}")
     return load_delimited(
-        sec[f"{which}_path"],
-        channels=int(sec["channels"]),
-        length=int(sec["length"]),
-        n_classes=int(sec["n_classes"]) if "n_classes" in sec else None,
+        data_path,
+        channels=sec["channels"],
+        length=sec["length"],
+        n_classes=sec.get("n_classes"),
     )
 
 
@@ -220,7 +227,8 @@ def _training_inputs(
     config = _train_config(doc, args.config)
     probe_sec = _section(doc, "probe", args.config, required=False)
     try:
-        probe_epochs = int(probe_sec.get("epochs", 200))
+        probe_epochs = probe_sec.get("epochs", 200)
+        check_integer("epochs", probe_epochs)
         probe_lr = float(probe_sec.get("lr", 1e-2))
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{args.config}: probe section: {exc}")
@@ -240,7 +248,7 @@ def _label_split_for_seed(
 # verify-bounds
 
 
-def _evaluate_case(case_path: str, slack_floor: float) -> dict:
+def _evaluate_case(case_path: str) -> dict:
     try:
         with open(case_path, "r", encoding="utf-8") as fh:
             case = json.load(fh)
@@ -256,8 +264,14 @@ def _evaluate_case(case_path: str, slack_floor: float) -> dict:
     for field_name, dtype in (("values", np.float64), ("labels", np.int64), ("partner", np.intp)):
         if field_name not in case:
             raise ParameterError(f"{case_path}: missing field {field_name!r}")
+        entries = case[field_name]
         try:
-            arrays[field_name] = np.asarray(case[field_name], dtype=dtype)
+            if field_name != "values":  # indices: a flat list of integers, never truncated
+                if not isinstance(entries, list):
+                    raise ParameterError(f"must be a list of integers, got {entries!r}")
+                for value in entries:
+                    check_integer("entry", value)
+            arrays[field_name] = np.asarray(entries, dtype=dtype)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"{case_path}: field {field_name!r}: {exc}")
     temperature = case.get("temperature", 1.0)
@@ -283,7 +297,7 @@ def _evaluate_case(case_path: str, slack_floor: float) -> dict:
     for y, kind, report in reports:
         slack = report.slack
         worst = min(worst, slack)
-        if slack < slack_floor:
+        if slack < SLACK_FLOOR:
             violations += 1
         rows.append(
             {
@@ -322,7 +336,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         max_classes=args.max_classes,
         temperatures=tuple(taus),
     )
-    case_report = _evaluate_case(args.case, -1e-9) if args.case else None
+    case_report = _evaluate_case(args.case) if args.case else None
     violations = summary.violations + (case_report["violations"] if case_report else 0)
 
     payload = {
@@ -528,6 +542,30 @@ def _format_cell(values: list[float]) -> str:
     return f"{arr.mean():.2f}±{arr.std():.2f}"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_final_metrics(metrics, path: Path) -> None:
+    """Raise unless ``metrics`` holds every number the report table reads."""
+    if metrics is None:
+        raise ParameterError(f"{path}: record has no final metrics")
+    if not isinstance(metrics, dict):
+        raise ParameterError(f"{path}: final_metrics must be an object, got {metrics!r}")
+    for name in ("accuracy", "macro_f1"):
+        if not _is_number(metrics.get(name)):
+            raise ParameterError(f"{path}: final_metrics has no numeric {name!r}")
+    per_class = metrics.get("per_class")
+    if not isinstance(per_class, dict):
+        raise ParameterError(f"{path}: final_metrics has no 'per_class' object")
+    for y, entry in per_class.items():
+        if not (y.isdigit() and isinstance(entry, dict) and _is_number(entry.get("f1"))):
+            raise ParameterError(
+                f"{path}: final_metrics per_class entry {y!r} needs a class index "
+                "and a numeric 'f1'"
+            )
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     started = time.time()
     records: list[RunRecord] = []
@@ -537,8 +575,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise ParameterError(f"{run_dir}: not a directory")
         for path in sorted(base.glob("record_*.json")):
             record = load_run_record(str(path))
-            if record.final_metrics is None:
-                raise ParameterError(f"{path}: record has no final metrics")
+            _check_final_metrics(record.final_metrics, path)
             records.append(record)
     if not records:
         raise ParameterError("no record_*.json files found in the given directories")

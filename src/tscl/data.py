@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from tscl.augment import TimeSeriesBatch
-from tscl.errors import InfeasibleSplitError, ParameterError, ParseError
+from tscl.errors import InfeasibleSplitError, ParameterError, ParseError, check_integer
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.class_counts, (list, tuple)):
+            raise ParameterError(f"class_counts must be a list, got {self.class_counts!r}")
+        for value in self.class_counts:
+            check_integer("class_counts entry", value)
+        for name in ("length", "channels", "seed"):
+            check_integer(name, getattr(self, name))
         counts = tuple(int(c) for c in self.class_counts)
         object.__setattr__(self, "class_counts", counts)
         if len(counts) < 2:

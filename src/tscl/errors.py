@@ -1,4 +1,7 @@
-"""Exception types raised by the library's validation contracts."""
+"""Exception types raised by the library's validation contracts, and the
+typed field checks that every config section and input file shares."""
+
+import numbers
 
 
 class DimensionError(ValueError):
@@ -48,3 +51,14 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, message: str, last_good_epoch: int):
         super().__init__(message)
         self.last_good_epoch = last_good_epoch
+
+
+def check_integer(name: str, value) -> None:
+    """Raise unless ``value`` is an int; a bool or an integral float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def check_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ParameterError(f"{name} must be true or false, got {value!r}")

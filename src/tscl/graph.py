@@ -1,30 +1,15 @@
-"""Instance graph: temperature-scaled softmax similarities over a batch."""
+"""Instance graph: temperature-scaled softmax similarities over a batch.
+
+The graph is a plain ``DiffNode`` holding the n x n adjacency; its
+gradient flows back to the embeddings it was built from.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from tscl import autodiff as ad
 from tscl.errors import BatchTooSmallError, InvalidGraphError
-from tscl.tensor import Tensor2D
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Row-stochastic pairwise similarity with a zero diagonal.
-
-    ``node`` carries the differentiable graph back to the embeddings the
-    matrix was built from; ``alpha`` is the plain value view.
-    """
-
-    n: int
-    node: ad.DiffNode
-
-    @property
-    def alpha(self) -> Tensor2D:
-        return self.node.value
 
 
 def check_adjacency(a: np.ndarray) -> None:
@@ -37,7 +22,7 @@ def check_adjacency(a: np.ndarray) -> None:
         raise InvalidGraphError(f"adjacency rows must sum to 1, max err {row_err}")
 
 
-def build_similarity(h: ad.DiffNode, temperature: float) -> SimilarityMatrix:
+def build_similarity(h: ad.DiffNode, temperature: float) -> ad.DiffNode:
     """Softmax over pairwise inner products, excluding each row's own entry.
 
     Embeddings are row L2-normalized before the inner products, so
@@ -49,5 +34,5 @@ def build_similarity(h: ad.DiffNode, temperature: float) -> SimilarityMatrix:
     base = ad.row_l2_normalize(h)
     sims = ad.matmul(base, ad.transpose(base))
     alpha = ad.masked_softmax_rows(sims, excluded=np.arange(n), temperature=temperature)
-    check_adjacency(alpha.value.array)
-    return SimilarityMatrix(n=n, node=alpha)
+    check_adjacency(alpha.array)
+    return alpha

@@ -16,7 +16,6 @@ import dataclasses
 import io
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -25,8 +24,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import AugmentParams, TimeSeriesBatch, strong_augment, weak_augment
-from .errors import DegenerateInputError, ParameterError, TrainingDivergedError
-from .graph import SimilarityMatrix, build_similarity
+from .errors import (
+    DegenerateInputError,
+    ParameterError,
+    TrainingDivergedError,
+    check_bool,
+    check_integer,
+)
+from .graph import build_similarity
 from .losses import (
     BatchIndexing,
     LossReport,
@@ -108,17 +113,6 @@ VARIANTS: dict[str, VariantSpec] = {
 # Configuration
 
 
-def _check_integer(name: str, value) -> None:
-    """Raise unless ``value`` is an int; a bool or an integral float is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_bool(name: str, value) -> None:
-    if not isinstance(value, bool):
-        raise ParameterError(f"{name} must be true or false, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one pretraining run."""
@@ -148,11 +142,13 @@ class TrainConfig:
             known = ", ".join(sorted(VARIANTS))
             raise ParameterError(f"unknown variant {self.variant!r} (known: {known})")
         for name in ("epochs", "batch_size", "embed_dim", "kernel", "pool_width"):
-            _check_integer(name, getattr(self, name))
+            check_integer(name, getattr(self, name))
         for name in ("seeds", "conv_channels"):
             for value in getattr(self, name):
-                _check_integer(f"{name} entry", value)
-        _check_bool("self_loop", self.self_loop)
+                check_integer(f"{name} entry", value)
+        check_bool("self_loop", self.self_loop)
+        if not isinstance(self.augment, AugmentParams):
+            raise ParameterError(f"augment must be an object, got {self.augment!r}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
@@ -324,8 +320,27 @@ def save_run_record(record: RunRecord, path: str) -> None:
 
 
 def load_run_record(path: str) -> RunRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RunRecord.from_dict(json.load(fh))
+    """Read a ``save_run_record`` file; a malformed one raises ParameterError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ParameterError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(d, dict):
+        raise ParameterError(f"{path}: run record must be a JSON object, got {type(d).__name__}")
+    fields = (("seed", int, "an integer"), ("variant", str, "a string"),
+              ("config", dict, "an object"), ("epoch_stats", list, "a list"))
+    for name, kind, noun in fields:
+        if name not in d:
+            raise ParameterError(f"{path}: run record has no {name!r} field")
+        if not isinstance(d[name], kind) or isinstance(d[name], bool):
+            raise ParameterError(
+                f"{path}: run record field {name!r} must be {noun}, got {d[name]!r}"
+            )
+    try:
+        return RunRecord.from_dict(d)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: malformed epoch_stats entry ({exc!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +364,7 @@ def _forward_batch(
     spec = config.variant_spec
     h = encode(stacked, params.encoder, model_config)
 
-    sim: Optional[SimilarityMatrix] = None
+    sim: Optional[ad.DiffNode] = None
     if spec.use_mid or spec.head == "gcn":
         sim = build_similarity(h, config.temperature)
 

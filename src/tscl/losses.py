@@ -19,7 +19,6 @@ from tscl.errors import (
     NormalizationError,
     ParameterError,
 )
-from tscl.graph import SimilarityMatrix
 from tscl.tensor import as_array, check_temperature
 
 # Probabilities below this are clamped before log; each clamp is counted.
@@ -203,7 +202,7 @@ def loss_sc(z: ad.DiffNode, idx: BatchIndexing, temperature: float) -> LossRepor
 
 def loss_mid(
     h: ad.DiffNode,
-    sim: SimilarityMatrix,
+    sim: ad.DiffNode,
     idx: BatchIndexing | None = None,
 ) -> LossReport:
     """Multi-instance discrimination: push similarity mass onto every peer.
@@ -211,16 +210,16 @@ def loss_mid(
     The target is uniform over the n-1 other instances, evaluated
     literally as -(1/(n-1)) * sum(log alpha_ij).
     """
-    n = sim.n
+    n = sim.shape[0]
     if h.shape[0] != n:
         raise DimensionError(f"graph has {n} nodes but batch has {h.shape[0]} rows")
-    a = sim.alpha.array
+    a = sim.array
     underflow = int(
         np.count_nonzero(a < UNDERFLOW_FLOOR)
         - np.count_nonzero(np.diagonal(a) < UNDERFLOW_FLOOR)
     )
     flags = ("underflow_clamped",) if underflow else ()
-    per = ad.clamped_log_row_sum(sim.node, UNDERFLOW_FLOOR, -1.0 / (n - 1))
+    per = ad.clamped_log_row_sum(sim, UNDERFLOW_FLOOR, -1.0 / (n - 1))
     labels = idx.labels if idx is not None else np.full(n, -1, dtype=np.int64)
     return _finalize("MID", per, labels, flags=flags, underflow_count=underflow)
 

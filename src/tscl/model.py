@@ -18,7 +18,7 @@ import numpy as np
 from tscl import autodiff as ad
 from tscl.augment import TimeSeriesBatch
 from tscl.errors import DimensionError, InvalidGraphError, ParameterError
-from tscl.graph import SimilarityMatrix, check_adjacency
+from tscl.graph import check_adjacency
 from tscl.tensor import Tensor2D
 
 
@@ -197,7 +197,7 @@ def rebuild_with_values(
 
 
 def encode(
-    x: TimeSeriesBatch | ad.DiffNode | np.ndarray,
+    x: TimeSeriesBatch | np.ndarray,
     params: EncoderParams,
     config: ModelConfig,
 ) -> ad.DiffNode:
@@ -206,12 +206,7 @@ def encode(
     Output is (n, embed_dim) and NOT unit-normalized; downstream users
     normalize where cosine geometry is required.
     """
-    if isinstance(x, TimeSeriesBatch):
-        node = ad.constant(x.values)
-    elif isinstance(x, ad.DiffNode):
-        node = x
-    else:
-        node = ad.constant(np.asarray(x, dtype=np.float64))
+    node = ad.constant(x.values if isinstance(x, TimeSeriesBatch) else x)
     width = config.in_channels * config.length
     if node.shape[1] != width:
         raise DimensionError(
@@ -233,24 +228,9 @@ def encode(
     return ad.add(ad.matmul(cur, params.linear_weight), params.linear_bias)
 
 
-def _adjacency_node(alpha, n_rows: int) -> ad.DiffNode:
-    if isinstance(alpha, SimilarityMatrix):
-        node = alpha.node
-    elif isinstance(alpha, ad.DiffNode):
-        node = alpha
-    else:
-        node = ad.constant(np.asarray(alpha, dtype=np.float64))
-    if node.shape != (n_rows, n_rows):
-        raise InvalidGraphError(
-            f"adjacency shape {node.shape} does not match batch size {n_rows}"
-        )
-    check_adjacency(node.value.array)
-    return node
-
-
 def gcn_project(
     h: ad.DiffNode,
-    alpha: SimilarityMatrix | ad.DiffNode | np.ndarray,
+    alpha: ad.DiffNode,
     params: ProjectionParams,
     self_loop: bool = False,
 ) -> ad.DiffNode:
@@ -260,11 +240,14 @@ def gcn_project(
     adjacency diagonal is zero; ``self_loop`` mixes each node's own state
     back in by averaging the adjacency with the identity.
     """
-    node = _adjacency_node(alpha, h.shape[0])
+    n = h.shape[0]
+    if alpha.shape != (n, n):
+        raise InvalidGraphError(f"adjacency shape {alpha.shape} does not match batch size {n}")
+    check_adjacency(alpha.array)
     if self_loop:
-        node = ad.scale(ad.add(node, ad.constant(np.eye(h.shape[0]))), 0.5)
-    hidden = ad.relu(ad.matmul(node, ad.matmul(h, params.w1)))
-    out = ad.matmul(ad.matmul(node, hidden), params.w2)
+        alpha = ad.scale(ad.add(alpha, ad.constant(np.eye(n))), 0.5)
+    hidden = ad.relu(ad.matmul(alpha, ad.matmul(h, params.w1)))
+    out = ad.matmul(ad.matmul(alpha, hidden), params.w2)
     return ad.row_l2_normalize(out)
 
 

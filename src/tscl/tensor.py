@@ -1,4 +1,6 @@
-"""Dense 2-D float64 tensors and the stabilized row-softmax kernel."""
+"""Dense 2-D float64 tensors and ``softmax_rows_inplace``, the one stabilized
+kernel behind every row softmax and log-sum-exp in the package.
+"""
 
 from __future__ import annotations
 
@@ -90,24 +92,36 @@ def as_array(x) -> np.ndarray:
     return a
 
 
-def exclude_entries(buf: np.ndarray, excluded: Optional[np.ndarray], fill: float) -> None:
-    """Write ``fill`` in place at the one ``excluded`` column of each row of ``buf``.
-
-    ``excluded=None`` excludes nothing.
-    """
-    if excluded is None:
-        return
-    n = buf.shape[0]
-    idx = np.asarray(excluded, dtype=np.intp)
-    if idx.shape != (n,):
-        raise DimensionError(f"excluded-index mask must have shape ({n},), got {idx.shape}")
-    buf[np.arange(n), idx] = fill
-
-
 def check_temperature(temperature: float) -> None:
     """Raise unless ``temperature`` is a positive, finite number."""
     if not (math.isfinite(temperature) and temperature > 0):
         raise ParameterError(f"temperature must be positive and finite, got {temperature}")
+
+
+def softmax_rows_inplace(buf: np.ndarray, excluded: Optional[np.ndarray] = None) -> np.ndarray:
+    """Overwrite ``buf`` with its stabilized row softmax; return the Nx1 log-sum-exp.
+
+    ``excluded``, when given, holds one column index per row: that entry
+    is left out of the row's sum and is exactly 0 in the output.  A row
+    whose every entry is excluded sums nothing: its log-sum-exp is -inf.
+    """
+    if excluded is not None:
+        n = buf.shape[0]
+        cols = np.asarray(excluded, dtype=np.intp)
+        if cols.shape != (n,):
+            raise DimensionError(f"excluded-index mask must have shape ({n},), got {cols.shape}")
+        rows = np.arange(n)
+        buf[rows, cols] = -np.inf
+    # The ufunc reductions are what .max and .sum run, without their Python
+    # wrappers: the bound sweep calls this on thousands of tiny matrices.
+    mx = np.maximum.reduce(buf, axis=1, keepdims=True)
+    buf -= mx
+    np.exp(buf, out=buf)
+    if excluded is not None:
+        buf[rows, cols] = 0.0  # exp(-inf - mx) is nan, not 0, where mx is -inf or nan
+    s = np.add.reduce(buf, axis=1, keepdims=True)
+    buf /= s
+    return mx + np.log(s)
 
 
 def softmax_row(
@@ -124,8 +138,5 @@ def softmax_row(
     a = as_array(x)
     check_temperature(temperature)
     e = a / float(temperature)
-    exclude_entries(e, mask, -np.inf)
-    e -= e.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    softmax_rows_inplace(e, mask)
     return Tensor2D._adopt(e)

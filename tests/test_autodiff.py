@@ -431,6 +431,48 @@ class TestInPlaceKernelParity:
                 ad.logsumexp_row(x, np.arange(4))
 
 
+def _oracle_softmax_ce(lv, y):
+    """The cross-entropy helper as first written: a fresh exp array, then
+    softmax minus an explicit one-hot matrix."""
+    n, c = lv.shape
+    mx = lv.max(axis=1, keepdims=True)
+    e = np.exp(lv - mx)
+    s = e.sum(axis=1, keepdims=True)
+    soft = e / s
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), y] = 1.0
+    return mx + np.log(s), soft - onehot
+
+
+def _logits(rng, n, c, kind):
+    """Random logits; with ``kind``, about a fifth of the entries (at least
+    one) hold a special value, or one row is all -inf."""
+    lv = 4.0 * randn(rng, n, c)
+    if kind == "all_-inf_row":
+        lv[n // 2] = -np.inf
+    elif kind != "random":
+        hit = rng.random((n, c)) < 0.2
+        hit[0, rng.integers(c)] = True
+        lv[hit] = float(kind)
+    return lv
+
+
+class TestSoftmaxCrossEntropyParity:
+    @pytest.mark.parametrize("kind", ["random", "nan", "inf", "-inf", "all_-inf_row"])
+    @pytest.mark.parametrize("n, c", [(7, 4), (5, 1), (300, 10)])
+    def test_matches_first_written_helper(self, n, c, kind):
+        rng = np.random.default_rng([n, c, len(kind)])
+        lv = _logits(rng, n, c, kind)
+        y = rng.integers(0, c, size=n)
+        kept = lv.copy()
+        with np.errstate(all="ignore"):
+            lse, grad = ad._softmax_ce(lv, y)
+            want_lse, want_grad = _oracle_softmax_ce(lv, y)
+        assert_same_bits(lse, want_lse)
+        assert_same_bits(grad, want_grad)
+        assert lv.tobytes() == kept.tobytes()  # the logits are not written
+
+
 class TestClampedLogRowSum:
     def test_entry_below_floor_gets_zero_gradient(self):
         a = np.array([[0.0, 0.5, -3.0], [0.25, 0.0, 0.75], [0.5, 1e-310, 0.0]])

@@ -10,6 +10,7 @@ import pytest
 
 from tscl.bounds import (
     FUZZ_TEMPERATURES,
+    _anchor_stats,
     bound_sc,
     bound_sc_from_sims,
     bound_uc,
@@ -26,6 +27,8 @@ from tscl.errors import (
     UndefinedBoundError,
 )
 from tscl.losses import BatchIndexing, two_view_indexing
+
+from gradcheck import assert_same_bits
 
 LOG3 = 1.0986122886681098
 
@@ -112,6 +115,37 @@ def _summary_fields(summary):
     fields = summary.to_dict()
     del fields["elapsed_seconds"]
     return fields
+
+
+def _oracle_anchor_lse(sims, members, temperature):
+    """The bound sweep's per-anchor log-sum-exp as first written."""
+    rows = (sims / temperature)[members]
+    rows[np.arange(members.size), members] = -np.inf
+    peak = rows.max(axis=1)
+    return peak + np.log(np.exp(rows - peak[:, None]).sum(axis=1))
+
+
+class TestAnchorLogSumExpParity:
+    @pytest.mark.parametrize("kind", ["random", "nan", "inf", "-inf", "all_-inf_row"])
+    @pytest.mark.parametrize("pairs", [2, 9])
+    def test_matches_first_written_sweep(self, pairs, kind):
+        rng = np.random.default_rng([pairs, len(kind)])
+        idx = two_view_indexing(np.arange(pairs) % 2)
+        z = _unit(rng, 2 * pairs, 3)
+        sims = z @ z.T
+        if kind == "all_-inf_row":
+            sims[0] = -np.inf
+        elif kind != "random":
+            hit = rng.random(sims.shape) < 0.2
+            hit[0, 1] = True
+            sims[hit] = float(kind)
+        members = np.flatnonzero(idx.labels == 0)
+        complement = np.flatnonzero(idx.labels != 0)
+        for tau in FUZZ_TEMPERATURES:
+            with np.errstate(all="ignore"):
+                stats = _anchor_stats(sims, idx, members, complement, tau)
+                want = _oracle_anchor_lse(sims, members, tau)
+            assert_same_bits(stats.lse, want)
 
 
 class TestSupervisedBound:

@@ -128,6 +128,17 @@ _TIGHT_CASE = {
         ),
         ("tau_negative", {**_TIGHT_CASE, "temperature": -1.0}, "temperature must be positive"),
         ("tau_nan", {**_TIGHT_CASE, "temperature": float("nan")}, "temperature must be positive"),
+        (
+            "labels_float",
+            {**_TIGHT_CASE, "labels": [0.5, 0, 1, 1]},
+            "field 'labels': entry must be an integer, got 0.5",
+        ),
+        (
+            "partner_float",
+            {**_TIGHT_CASE, "partner": [2.7, 0, 3, 2]},
+            "field 'partner': entry must be an integer, got 2.7",
+        ),
+        ("partner_number", {**_TIGHT_CASE, "partner": 1}, "must be a list of integers, got 1"),
     ],
 )
 def test_verify_bounds_malformed_case_exits_one(workspace, capsys, name, case, message):
@@ -362,6 +373,72 @@ def test_report_formats_mean_std_cells(workspace, pretrain_run, capsys):
     assert (out2 / "report.csv").read_bytes() == raw
 
 
+_RECORD = {
+    "seed": 1,
+    "variant": "mlp_id",
+    "config": {},
+    "epoch_stats": [
+        {"epoch": 1, "combined": 1.5, "components": {"ID": 1.5},
+         "class_mean_loss": {"0": 1.25, "1": 1.75}},
+    ],
+    "final_metrics": {"accuracy": 0.5, "macro_f1": 0.4, "per_class": {"0": {"f1": 0.6}}},
+}
+
+
+def test_report_reads_a_minimal_hand_written_record(tmp_path, capsys):
+    (tmp_path / "record_x.json").write_text(json.dumps(_RECORD))
+    assert run_cli(["report", str(tmp_path), "--out", str(tmp_path / "r")]) == 0
+    assert "50.00±0.00" in capsys.readouterr().out
+
+
+def _record_with(**changes) -> str:
+    return json.dumps({**_RECORD, **changes})
+
+
+def _metrics_with(**changes) -> str:
+    return _record_with(final_metrics={**_RECORD["final_metrics"], **changes})
+
+
+_BAD_RECORDS = {
+    # name: (file text, expected message)
+    "not_json": ("{seed", "invalid JSON"),
+    "list": ("[1]", "run record must be a JSON object, got list"),
+    "seed_only": (json.dumps({"seed": 1}), "run record has no 'variant' field"),
+    "seed_text": (_record_with(seed="1"), "'seed' must be an integer"),
+    "seed_bool": (_record_with(seed=True), "'seed' must be an integer"),
+    "variant_number": (_record_with(variant=3), "'variant' must be a string"),
+    "config_list": (_record_with(config=[]), "'config' must be an object"),
+    "stats_object": (_record_with(epoch_stats={}), "'epoch_stats' must be a list"),
+    "stats_entry": (_record_with(epoch_stats=[1]), "malformed epoch_stats entry"),
+    "stats_key": (_record_with(epoch_stats=[{"epoch": 1}]), "malformed epoch_stats entry"),
+    "no_metrics": (_record_with(final_metrics=None), "no final metrics"),
+    "metrics_list": (_record_with(final_metrics=[0.5]), "final_metrics must be an object"),
+    "no_accuracy": (_metrics_with(accuracy=None), "final_metrics has no numeric 'accuracy'"),
+    "no_macro_f1": (_metrics_with(macro_f1="0.4"), "final_metrics has no numeric 'macro_f1'"),
+    "no_per_class": (_metrics_with(per_class=None), "final_metrics has no 'per_class' object"),
+    "no_f1": (
+        _metrics_with(per_class={"0": {"precision": 1.0}}),
+        "per_class entry '0' needs a class index and a numeric 'f1'",
+    ),
+    "class_key": (
+        _metrics_with(per_class={"a": {"f1": 1.0}}),
+        "per_class entry 'a' needs a class index",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_RECORDS))
+def test_report_on_malformed_record_exits_one_naming_it(tmp_path, capsys, name):
+    text, message = _BAD_RECORDS[name]
+    path = tmp_path / "record_x.json"
+    path.write_text(text)
+    assert run_cli(["report", str(tmp_path), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_report_without_records_is_usage_error(workspace, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -469,6 +546,8 @@ def test_bad_adam_setting_exits_one_with_train_prefix(workspace, assignment, mes
         ("train.conv_channels=[4.7]", "conv_channels entry must be an integer, got 4.7"),
         ("train.epochs=true", "epochs must be an integer, got True"),
         ('train.self_loop="no"', "self_loop must be true or false, got 'no'"),
+        ("train.augment=5", "augment must be an object, got 5"),
+        ("train.augment.max_segments=2.5", "max_segments must be an integer, got 2.5"),
     ],
 )
 def test_mistyped_train_field_exits_one_with_train_prefix(
@@ -482,6 +561,38 @@ def test_mistyped_train_field_exits_one_with_train_prefix(
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: {workspace['config']}: train section: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, assignment, message",
+    [
+        ("synth", "synth.class_counts=5", "synth section: class_counts must be a list, got 5"),
+        (
+            "synth",
+            "synth.class_counts=[24, 12.5]",
+            "synth section: class_counts entry must be an integer, got 12.5",
+        ),
+        ("synth", "synth.length=16.5", "synth section: length must be an integer, got 16.5"),
+        ("synth", "synth.seed=true", "synth section: seed must be an integer, got True"),
+        ("pretrain", "data.channels=[1]", "data section: channels must be an integer, got [1]"),
+        ("pretrain", "data.length=16.5", "data section: length must be an integer, got 16.5"),
+        ("pretrain", "data.train_path=[1]", "data section: train_path must be a string, got [1]"),
+        ("probe", "data.n_classes=2.0", "data section: n_classes must be an integer, got 2.0"),
+        ("probe", "probe.epochs=2.5", "probe section: epochs must be an integer, got 2.5"),
+    ],
+)
+def test_mistyped_config_field_exits_one_naming_its_section(
+    workspace, subcommand, assignment, message, capsys
+):
+    code = run_cli(
+        [subcommand, "--config", str(workspace["config"]),
+         "--out", str(workspace["root"] / f"mistyped_{subcommand}"),
+         "--set", assignment]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {workspace['config']}: {message}" in err
     assert "Traceback" not in err
 
 

@@ -23,13 +23,13 @@ def test_identical_embeddings_give_uniform_offdiagonal():
     sim = build_similarity(h, temperature=0.5)
     expected = np.full((3, 3), 0.5)
     np.fill_diagonal(expected, 0.0)
-    npt.assert_allclose(sim.alpha.array, expected, rtol=0, atol=1e-15)
+    npt.assert_allclose(sim.array, expected, rtol=0, atol=1e-15)
 
 
 def test_two_rows_each_attend_fully_to_the_other():
     h = ad.leaf(np.array([[1.0, 0.0], [0.0, 1.0]]))
     sim = build_similarity(h, temperature=0.2)
-    npt.assert_allclose(sim.alpha.array, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=0)
+    npt.assert_allclose(sim.array, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=0)
 
 
 def test_matches_direct_per_entry_evaluation():
@@ -44,13 +44,13 @@ def test_matches_direct_per_entry_evaluation():
             [np.exp(x[i] @ x[k] / tau) if k != i else 0.0 for k in range(4)]
         )
         expected[i] = weights / weights.sum()
-    npt.assert_allclose(sim.alpha.array, expected, rtol=0, atol=1e-12)
+    npt.assert_allclose(sim.array, expected, rtol=0, atol=1e-12)
 
 
 def test_rows_are_stochastic_with_zero_diagonal():
     rng = np.random.default_rng(11)
     sim = build_similarity(ad.leaf(rng.standard_normal((8, 5))), temperature=0.5)
-    a = sim.alpha.array
+    a = sim.array
     npt.assert_allclose(a.sum(axis=1), np.ones(8), atol=1e-12)
     npt.assert_array_equal(np.diag(a), np.zeros(8))
     assert a.min() >= 0.0 and a.max() <= 1.0
@@ -60,7 +60,7 @@ def test_high_temperature_flattens_to_uniform():
     rng = np.random.default_rng(3)
     n = 6
     sim = build_similarity(ad.leaf(rng.standard_normal((n, 4))), temperature=1e6)
-    off = sim.alpha.array[~np.eye(n, dtype=bool)]
+    off = sim.array[~np.eye(n, dtype=bool)]
     npt.assert_allclose(off, np.full(off.shape, 1.0 / (n - 1)), atol=1e-6)
 
 
@@ -79,11 +79,11 @@ def test_gradient_flows_through_similarity(seed):
 
     def scalar(arrays) -> float:
         sim = build_similarity(ad.leaf(arrays[0]), temperature=0.3)
-        return float((sim.alpha.array * proj).sum())
+        return float((sim.array * proj).sum())
 
     h = ad.leaf(x)
     sim = build_similarity(h, temperature=0.3)
-    out = ad.sum_all(ad.mul_elem(sim.node, proj))
+    out = ad.sum_all(ad.mul_elem(sim, proj))
     ad.backward(out)
     numeric = fd_gradient(scalar, [x], which=0)
     assert relative_error(h.gradient().array, numeric) < 1e-6

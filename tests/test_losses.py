@@ -12,7 +12,7 @@ from tscl.errors import (
     NormalizationError,
     ParameterError,
 )
-from tscl.graph import SimilarityMatrix, build_similarity
+from tscl.graph import build_similarity
 from tscl.losses import (
     UNDERFLOW_FLOOR,
     BatchIndexing,
@@ -189,7 +189,7 @@ class TestMultiInstanceLoss:
         h = ad.leaf(x)
         sim = build_similarity(h, temperature=0.3)
         report = loss_mid(h, sim)
-        a = sim.alpha.array
+        a = sim.array
         n = 6
         expected = np.array(
             [
@@ -219,7 +219,7 @@ def _oracle_mid(a: np.ndarray, g: np.ndarray):
 
 def _mid_alpha(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
     """A similarity matrix from the instance graph, then edited per ``kind``."""
-    alpha = build_similarity(ad.leaf(rng.standard_normal((n, 3))), 0.2).alpha.array.copy()
+    alpha = build_similarity(ad.leaf(rng.standard_normal((n, 3))), 0.2).array.copy()
     cells = rng.integers(0, n, size=(max(2, n // 8), 2))
     rows, cols = cells[:, 0], cells[:, 1]
     if kind == "below_floor":
@@ -239,7 +239,7 @@ class TestMultiInstanceParity:
         rng = np.random.default_rng([n, len(kind)])
         a = _mid_alpha(rng, n, kind)
         node = ad.leaf(a)
-        report = loss_mid(node, SimilarityMatrix(n=n, node=node))
+        report = loss_mid(node, node)
         ad.backward(report.node)
         with np.errstate(all="ignore"):
             out, dx, underflow = _oracle_mid(a, np.full((n, 1), 1.0 / n))

@@ -111,7 +111,7 @@ class TestGraphProjection:
         w2 = np.array([[1.1, 0.0], [-0.5, 0.7]])
         alpha = np.array([[0.0, 1.0], [1.0, 0.0]])
         params = ProjectionParams(w1=ad.leaf(w1), w2=ad.leaf(w2))
-        z = gcn_project(ad.leaf(h_val), alpha, params)
+        z = gcn_project(ad.leaf(h_val), ad.constant(alpha), params)
         # Hop 1 swaps rows of h @ w1, ReLU clips, hop 2 swaps back.
         hidden = np.maximum(alpha @ (h_val @ w1), 0.0)
         raw = (alpha @ hidden) @ w2
@@ -137,12 +137,12 @@ class TestGraphProjection:
         )
         bad_diag = np.full((3, 3), 1.0 / 3.0)
         with pytest.raises(InvalidGraphError, match="diagonal"):
-            gcn_project(h, bad_diag, params)
+            gcn_project(h, ad.constant(bad_diag), params)
         bad_rows = np.array(
             [[0.0, 0.7, 0.7], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
         )
         with pytest.raises(InvalidGraphError, match="sum to 1"):
-            gcn_project(h, bad_rows, params)
+            gcn_project(h, ad.constant(bad_rows), params)
 
     def test_self_loop_mixes_identity_into_adjacency(self):
         rng = np.random.default_rng(7)
@@ -153,7 +153,7 @@ class TestGraphProjection:
             w2=ad.leaf(rng.standard_normal((3, 3))),
         )
         sim = build_similarity(h, temperature=0.5)
-        mixed = 0.5 * (sim.alpha.array + np.eye(4))
+        mixed = 0.5 * (sim.array + np.eye(4))
         hidden = np.maximum(mixed @ (h_val @ params.w1.value.array), 0.0)
         raw = (mixed @ hidden) @ params.w2.value.array
         expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
