@@ -12,7 +12,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tscl.errors import DegenerateInputError, DimensionError, ParameterError, check_integer
+from tscl.errors import (
+    DegenerateInputError,
+    DimensionError,
+    ParameterError,
+    check_integer,
+    check_real,
+)
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,8 @@ class AugmentParams:
     max_segments: int = 5
 
     def __post_init__(self) -> None:
+        for name in ("weak_jitter", "weak_scale", "strong_jitter"):
+            check_real(name, getattr(self, name))
         scales = (self.weak_jitter, self.weak_scale, self.strong_jitter)
         if not all(np.isfinite(scales)) or min(scales) < 0:
             raise ParameterError(

@@ -5,7 +5,9 @@ value plus pullback closures toward its parents.  Calling ``backward`` on
 a 1x1 scalar node accumulates gradients through the DAG; shared
 subexpressions receive summed contributions.  The computation graph is
 rebuilt per step, so nodes are cheap and never mutated after creation
-(apart from gradient accumulation during a backward pass).
+(apart from gradient bookkeeping during a backward pass).  Only leaves keep
+their gradients: an interior node's gradient is dropped as soon as its
+pullbacks have run, so a finished backward pass holds no interior gradient.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ class DiffNode:
         return self.value.array
 
     def gradient(self) -> Tensor2D:
-        """Accumulated gradient after a backward pass (zeros if unreached)."""
+        """Accumulated gradient of a leaf after a backward pass (zeros if
+        unreached).  ``backward`` keeps gradients on leaves only: an interior
+        node (one with parents) reads as zeros once the pass is over."""
         if self.grad is None:
             return Tensor2D.zeros(*self.shape)
         return Tensor2D(self.grad)
@@ -94,7 +98,11 @@ def _topo_order(root: DiffNode) -> list[DiffNode]:
 
 
 def backward(node: DiffNode) -> None:
-    """Accumulate gradients of a scalar (1x1) node into the reachable graph."""
+    """Accumulate gradients of a scalar (1x1) node into the reachable leaves.
+
+    An interior node's gradient is released once its pullbacks have run, so
+    at most one frontier of interior gradients is alive at a time.
+    """
     if node.shape != (1, 1):
         raise DimensionError(f"backward requires a 1x1 scalar node, got {node.shape}")
     order = _topo_order(node)
@@ -113,6 +121,8 @@ def backward(node: DiffNode) -> None:
                 parent.grad = contrib  # gradients are never written in place
             else:
                 parent.grad = parent.grad + contrib
+        if n.parents:
+            n.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +200,9 @@ def clamped_log_row_sum(a: DiffNode, floor: float, c: float) -> DiffNode:
 
     ``a`` is square; adding one on the diagonal makes a zero diagonal
     contribute log(1) = 0.  Entries at or below ``floor``, and NaN
-    entries, are clamped to it and pass no gradient.
+    entries, are clamped to it and pass no gradient.  The node keeps no
+    n x n array of its own: the pullback rebuilds the clamped copy from
+    ``a``, with the forward's operations in the forward's order.
     """
     n, m = a.shape
     if n != m:
@@ -198,25 +210,26 @@ def clamped_log_row_sum(a: DiffNode, floor: float, c: float) -> DiffNode:
     floor, c = float(floor), float(c)
     if not (math.isfinite(floor) and floor > 0.0):
         raise ParameterError(f"log floor must be positive and finite, got {floor}")
-    guarded = a.array.copy()
+    av = a.array
     diag = np.arange(n)
-    guarded[diag, diag] += 1.0
-    keep = guarded > floor
-    np.fmax(guarded, floor, out=guarded)  # fmax, not maximum: NaN becomes floor
-    out = np.log(guarded).sum(axis=1, keepdims=True) * c
+
+    def guard() -> tuple[np.ndarray, np.ndarray]:
+        guarded = av.copy()
+        guarded[diag, diag] += 1.0
+        keep = guarded > floor
+        np.fmax(guarded, floor, out=guarded)  # fmax, not maximum: NaN becomes floor
+        return guarded, keep
+
+    guarded, _ = guard()
+    out = np.log(guarded, out=guarded).sum(axis=1, keepdims=True) * c
 
     def pull(g: np.ndarray) -> np.ndarray:
-        d = (g * c) / guarded
+        d, keep = guard()
+        np.divide(g * c, d, out=d)
         d *= keep
         return d
 
     return DiffNode(Tensor2D._adopt(out), parents=[(a, pull)], op="clamped_log_row_sum")
-
-
-def transpose(a: DiffNode) -> DiffNode:
-    return DiffNode(
-        Tensor2D._adopt(a.array.T.copy()), parents=[(a, lambda g: g.T)], op="transpose"
-    )
 
 
 def mean(a: DiffNode) -> DiffNode:
@@ -260,27 +273,6 @@ def take_rows(a: DiffNode, indices) -> DiffNode:
         return out
 
     return DiffNode(Tensor2D._adopt(a.array[idx]), parents=[(a, pull)], op="take_rows")
-
-
-def take_pairs(a: DiffNode, partner) -> DiffNode:
-    """Gather a[i, partner[i]] into an Nx1 column."""
-    idx = np.asarray(partner, dtype=np.intp)
-    n = a.shape[0]
-    if idx.shape != (n,):
-        raise DimensionError(f"partner index must have shape ({n},), got {idx.shape}")
-    rows = np.arange(n)
-    shape = a.shape
-
-    def pull(g: np.ndarray) -> np.ndarray:
-        out = np.zeros(shape)
-        out[rows, idx] = g[:, 0]
-        return out
-
-    return DiffNode(
-        Tensor2D._adopt(a.array[rows, idx].reshape(n, 1)),
-        parents=[(a, pull)],
-        op="take_pairs",
-    )
 
 
 def row_l2_normalize(a: DiffNode) -> DiffNode:
@@ -333,6 +325,61 @@ def logsumexp_row(a: DiffNode, excluded: Optional[np.ndarray] = None) -> DiffNod
         return g * soft
 
     return DiffNode(Tensor2D._adopt(out), parents=[(a, pull)], op="logsumexp_row")
+
+
+def _gram_value(a: DiffNode, c: float) -> tuple[np.ndarray, Pullback]:
+    """``(a @ a.T) * c`` in one fresh buffer, and the pullback of a gradient
+    already multiplied by ``c``.
+
+    The transposed operand is a contiguous copy, used again in the pullback:
+    on a transposed view NumPy may take another BLAS path, whose sums can
+    differ in the last bit.
+    """
+    av = a.array
+    at = av.T.copy()
+    out = av @ at
+    out *= c
+
+    def pull_scaled(gc: np.ndarray) -> np.ndarray:
+        return gc @ at.T + (av.T @ gc).T
+
+    return out, pull_scaled
+
+
+def gram(a: DiffNode, c: float) -> DiffNode:
+    """Scaled Gram matrix ``c * a @ a.T`` (n x n) of the rows of ``a``."""
+    c = float(c)
+    out, pull_scaled = _gram_value(a, c)
+    return DiffNode(
+        Tensor2D._adopt(out), parents=[(a, lambda g: pull_scaled(g * c))], op="gram"
+    )
+
+
+def info_nce_rows(z: DiffNode, partner, c: float) -> DiffNode:
+    """Per-row InfoNCE over the scaled Gram matrix ``s = c * z @ z.T`` (Nx1):
+    the log-sum-exp of row i without its diagonal entry, minus ``s[i, partner[i]]``.
+
+    The Gram buffer is read for the positives and then overwritten by its
+    row softmax, which the pullback needs; the node keeps no other n x n array.
+    """
+    idx = np.asarray(partner, dtype=np.intp)
+    n = z.shape[0]
+    if idx.shape != (n,):
+        raise DimensionError(f"partner index must have shape ({n},), got {idx.shape}")
+    c = float(c)
+    rows = np.arange(n)
+    soft, pull_scaled = _gram_value(z, c)
+    pos = soft[rows, idx].reshape(n, 1)
+    out = softmax_rows_inplace(soft, rows) - pos
+
+    def pull(g: np.ndarray) -> np.ndarray:
+        d = g * soft
+        d += 0.0  # -0.0 becomes +0.0, as under a sum with a zero matrix
+        d[rows, idx] -= g[:, 0]
+        d *= c
+        return pull_scaled(d)
+
+    return DiffNode(Tensor2D._adopt(out), parents=[(z, pull)], op="info_nce_rows")
 
 
 def _softmax_ce(lv: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

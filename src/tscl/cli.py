@@ -44,10 +44,11 @@ from . import __version__
 from .augment import TimeSeriesBatch
 from .bounds import FUZZ_TEMPERATURES, SLACK_FLOOR, bound_sc, bound_uc, fuzz_bounds
 from .data import SynthSpec, generate, load_delimited, save_delimited, split_labels, stratified_split
-from .errors import ParameterError, TrainingDivergedError, check_integer
+from .errors import ParameterError, TrainingDivergedError, check_integer, check_real
 from .harness import (
     RunRecord,
     TrainConfig,
+    check_probe_settings,
     class_loss_csv,
     linear_probe,
     load_run_record,
@@ -187,7 +188,9 @@ def _synth_spec(doc: dict, path: str) -> tuple[SynthSpec, float]:
     if extra:
         raise ParameterError(f"{path}: synth section: unknown fields {sorted(extra)}")
     try:
-        spec, test_fraction = SynthSpec(**sec), float(test_fraction)
+        spec = SynthSpec(**sec)
+        check_real("test_fraction", test_fraction)
+        test_fraction = float(test_fraction)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: synth section: {exc}")
     if not 0.0 <= test_fraction < 1.0:  # 0 writes one unsplit full.csv
@@ -227,9 +230,9 @@ def _training_inputs(
     config = _train_config(doc, args.config)
     probe_sec = _section(doc, "probe", args.config, required=False)
     try:
-        probe_epochs = probe_sec.get("epochs", 200)
-        check_integer("epochs", probe_epochs)
-        probe_lr = float(probe_sec.get("lr", 1e-2))
+        probe_epochs, probe_lr = probe_sec.get("epochs", 200), probe_sec.get("lr", 1e-2)
+        check_probe_settings(probe_epochs, probe_lr)
+        probe_lr = float(probe_lr)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{args.config}: probe section: {exc}")
     train = _load_dataset(doc, args.config, "train")

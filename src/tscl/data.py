@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from tscl.augment import TimeSeriesBatch
-from tscl.errors import InfeasibleSplitError, ParameterError, ParseError, check_integer
+from tscl.errors import (
+    InfeasibleSplitError,
+    ParameterError,
+    ParseError,
+    check_integer,
+    check_real,
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,7 @@ class SynthSpec:
         )
         for name in shape_fields:
             value = getattr(self, name)
+            check_real(name, value)
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
         if self.noise_sigma < 0:
@@ -228,7 +235,7 @@ def load_delimited(
 ) -> TimeSeriesBatch:
     """Parse a delimited file written by :func:`save_delimited`.
 
-    Loaded labels are marked visible. Errors name the offending line;
+    Loaded labels are marked visible. Errors name the file and the offending line;
     ``nan`` and ``inf`` values are rejected like unparsable ones.
     """
     width = channels * length
@@ -243,18 +250,18 @@ def load_delimited(
             fields = line.split(",")
             if len(fields) != width + 1:
                 raise ParseError(
-                    f"line {line_number}: expected {width + 1} fields "
+                    f"{path}: line {line_number}: expected {width + 1} fields "
                     f"(label + {width} values), found {len(fields)}"
                 )
             try:
                 label = int(fields[0])
                 row = [float(f) for f in fields[1:]]
             except ValueError as exc:
-                raise ParseError(f"line {line_number}: {exc}") from exc
+                raise ParseError(f"{path}: line {line_number}: {exc}") from exc
             if label < 0 or (n_classes is not None and label >= n_classes):
                 limit = f" < {n_classes}" if n_classes is not None else ""
                 raise ParseError(
-                    f"line {line_number}: label {label} outside range 0..{limit}"
+                    f"{path}: line {line_number}: label {label} outside range 0..{limit}"
                 )
             labels.append(label)
             values.append(row)
@@ -263,7 +270,7 @@ def load_delimited(
     if not np.isfinite(array).all():
         row_index, column = np.argwhere(~np.isfinite(array))[0]
         raise ParseError(
-            f"line {line_numbers[row_index]}: field {column + 2} is "
+            f"{path}: line {line_numbers[row_index]}: field {column + 2} is "
             f"{float(array[row_index, column])!r}, not a finite number"
         )
     return TimeSeriesBatch(

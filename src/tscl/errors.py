@@ -59,6 +59,12 @@ def check_integer(name: str, value) -> None:
         raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    """Raise unless ``value`` is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+
+
 def check_bool(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ParameterError(f"{name} must be true or false, got {value!r}")

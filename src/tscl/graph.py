@@ -32,7 +32,7 @@ def build_similarity(h: ad.DiffNode, temperature: float) -> ad.DiffNode:
     if n < 2:
         raise BatchTooSmallError(f"similarity needs at least 2 rows, got {n}")
     base = ad.row_l2_normalize(h)
-    sims = ad.matmul(base, ad.transpose(base))
+    sims = ad.gram(base, 1.0)
     alpha = ad.masked_softmax_rows(sims, excluded=np.arange(n), temperature=temperature)
     check_adjacency(alpha.array)
     return alpha

@@ -30,6 +30,7 @@ from .errors import (
     TrainingDivergedError,
     check_bool,
     check_integer,
+    check_real,
 )
 from .graph import build_similarity
 from .losses import (
@@ -66,6 +67,7 @@ __all__ = [
     "ClassLossGap",
     "model_config_for",
     "pretrain",
+    "check_probe_settings",
     "linear_probe",
     "run_experiment",
     "track_class_losses",
@@ -147,6 +149,9 @@ class TrainConfig:
             for value in getattr(self, name):
                 check_integer(f"{name} entry", value)
         check_bool("self_loop", self.self_loop)
+        for name in ("lr", "weight_decay", "beta1", "beta2", "eps", "temperature",
+                     "lambda_graph", "lambda_cls", "label_fraction"):
+            check_real(name, getattr(self, name))
         if not isinstance(self.augment, AugmentParams):
             raise ParameterError(f"augment must be an object, got {self.augment!r}")
         if self.epochs < 1:
@@ -512,6 +517,9 @@ def pretrain(
             for _, label, value in tracked.per_anchor:
                 class_sums[label] = class_sums.get(label, 0.0) + value
                 class_counts[label] = class_counts.get(label, 0) + 1
+            # Release this step's graph, every node value and leaf gradient,
+            # before the next step's forward pass builds its own.
+            del combined, tracked, nodes
 
         if total_weight == 0.0:
             raise ParameterError("no trainable batch was formed in an epoch")
@@ -541,6 +549,16 @@ def pretrain(
 # Linear probe
 
 
+def check_probe_settings(epochs, lr) -> None:
+    """Raise unless the probe's epoch count and learning rate are usable."""
+    check_integer("epochs", epochs)
+    check_real("lr", lr)
+    if epochs < 1:
+        raise ParameterError(f"probe epochs must be >= 1, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ParameterError(f"probe learning rate must be positive and finite, got {lr}")
+
+
 def linear_probe(
     params: ModelParams,
     model_config: ModelConfig,
@@ -558,10 +576,7 @@ def linear_probe(
     plain arrays with the cross-entropy gradient written out, so it builds
     no autodiff graph.  Evaluation runs on ``test``.
     """
-    if epochs < 1:
-        raise ParameterError(f"probe epochs must be >= 1, got {epochs}")
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise ParameterError(f"probe learning rate must be positive and finite, got {lr}")
+    check_probe_settings(epochs, lr)
     labeled = np.flatnonzero(train.label_mask)
     if labeled.size == 0:
         raise ParameterError("probe needs at least one labeled training sample")

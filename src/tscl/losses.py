@@ -149,25 +149,28 @@ def check_unit_rows(values, tol: float = 1e-6) -> np.ndarray:
     return values
 
 
-def _scaled_similarities(z: ad.DiffNode, temperature: float) -> ad.DiffNode:
+def _inverse_temperature(z: ad.DiffNode, temperature: float) -> float:
+    """1/temperature, once the checks every contrastive term shares pass."""
     check_temperature(temperature)
     if z.shape[0] < 2:
         raise BatchTooSmallError(f"contrastive loss needs n >= 2, got {z.shape[0]}")
-    return ad.scale(ad.matmul(z, ad.transpose(z)), 1.0 / temperature)
+    return 1.0 / temperature
 
 
 def loss_uc(
     z: ad.DiffNode, idx: BatchIndexing, temperature: float, name: str = "UC"
 ) -> LossReport:
-    """One-positive contrastive loss over all |B|-1 candidates per anchor."""
+    """One-positive contrastive loss over all |B|-1 candidates per anchor.
+
+    One ``info_nce_rows`` node holds the whole term: its only n x n array
+    is the row softmax of the scaled similarities.
+    """
     check_unit_rows(z)
     n = z.shape[0]
     if idx.n != n:
         raise DimensionError(f"indexing covers {idx.n} rows but batch has {n}")
-    scaled = _scaled_similarities(z, temperature)
-    lse = ad.logsumexp_row(scaled, excluded=np.arange(n))
-    pos = ad.take_pairs(scaled, idx.partner)
-    return _finalize(name, ad.sub(lse, pos), idx.labels)
+    per = ad.info_nce_rows(z, idx.partner, _inverse_temperature(z, temperature))
+    return _finalize(name, per, idx.labels)
 
 
 def loss_id(z: ad.DiffNode, idx: BatchIndexing, temperature: float) -> LossReport:
@@ -194,7 +197,7 @@ def loss_sc(z: ad.DiffNode, idx: BatchIndexing, temperature: float) -> LossRepor
     pos_mask = (labels[:, None] == labels[None, :]).astype(np.float64)
     np.fill_diagonal(pos_mask, 0.0)
     counts = pos_mask.sum(axis=1, keepdims=True)
-    scaled = _scaled_similarities(z, temperature)
+    scaled = ad.gram(z, _inverse_temperature(z, temperature))
     lse = ad.logsumexp_row(scaled, excluded=np.arange(n))
     mean_pos = ad.mul_elem(ad.row_sum(ad.mul_elem(scaled, pos_mask)), 1.0 / counts)
     return _finalize("SC", ad.sub(lse, mean_pos), labels)

@@ -211,15 +211,15 @@ def _op_cases(rng: np.random.Generator):
             [below_floor],
             lambda L: ad.clamped_log_row_sum(L[0], 0.1, 0.5),
         ),
-        ("transpose", [a34], lambda L: ad.transpose(L[0])),
+        ("gram", [a34], lambda L: ad.gram(L[0], 1.0 / 0.7)),
         ("mean", [a34], lambda L: ad.mean(L[0])),
         ("sum_all", [a34], lambda L: ad.sum_all(L[0])),
         ("row_sum", [a34], lambda L: ad.row_sum(L[0])),
         ("take_rows", [a34], lambda L: ad.take_rows(L[0], np.array([2, 0]))),
         (
-            "take_pairs",
+            "info_nce_rows",
             [rng.standard_normal((4, 4))],
-            lambda L: ad.take_pairs(L[0], partner),
+            lambda L: ad.info_nce_rows(L[0], partner, 2.0),
         ),
         (
             "row_l2_normalize",

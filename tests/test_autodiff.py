@@ -148,6 +148,22 @@ class TestBackwardAccumulation:
         expected = x1.gradient().array + x2.gradient().array
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
+    def test_only_leaves_keep_gradients_after_backward(self):
+        rng = np.random.default_rng(8)
+        x = ad.leaf(randn(rng, 3, 4))
+        w = ad.leaf(randn(rng, 4, 2))
+        frozen = ad.constant(randn(rng, 3, 2))
+        hidden = ad.relu(ad.matmul(x, w))
+        shared = ad.add(hidden, hidden)
+        root = ad.sum_all(ad.add(shared, frozen))
+        ad.backward(root)
+        for node in (x, w):
+            assert node.grad is not None and node.grad.shape == node.shape
+        for node in (hidden, shared, root):
+            assert node.grad is None, node.op
+            assert not node.gradient().array.any()
+        assert frozen.grad is None  # needs no gradient, so never reached
+
     def test_diamond_dag_matches_fd(self):
         rng = np.random.default_rng(21)
         a = randn(rng, 3, 3)
@@ -155,7 +171,7 @@ class TestBackwardAccumulation:
         def build(ls):
             x = ls[0]
             e = ad.exp(ad.scale(x, 0.3))
-            return ad.add(ad.matmul(e, ad.transpose(e)), e)
+            return ad.add(ad.gram(e, 1.0), e)
 
         check_op_gradients(build, [a], rng, tol=1e-6)
 
@@ -473,6 +489,94 @@ class TestSoftmaxCrossEntropyParity:
         assert lv.tobytes() == kept.tobytes()  # the logits are not written
 
 
+# Reference chains: the scaled Gram matrix and the one-positive InfoNCE term
+# as first built from separate nodes, with the transpose and pair-gather ops
+# they used.  The fused ops must match them bit for bit, in the value and in
+# the gradient that backward leaves on the input.
+
+
+def _old_transpose(a):
+    return ad.DiffNode(
+        Tensor2D._adopt(a.array.T.copy()), parents=[(a, lambda g: g.T)], op="transpose"
+    )
+
+
+def _old_take_pairs(a, partner):
+    n = a.shape[0]
+    rows = np.arange(n)
+
+    def pull(g):
+        out = np.zeros(a.shape)
+        out[rows, partner] = g[:, 0]
+        return out
+
+    value = Tensor2D._adopt(a.array[rows, partner].reshape(n, 1))
+    return ad.DiffNode(value, parents=[(a, pull)], op="take_pairs")
+
+
+def _chain_gram(z, c):
+    return ad.scale(ad.matmul(z, _old_transpose(z)), c)
+
+
+def _chain_info_nce(z, partner, c):
+    scaled = _chain_gram(z, c)
+    lse = ad.logsumexp_row(scaled, excluded=np.arange(z.shape[0]))
+    return ad.sub(lse, _old_take_pairs(scaled, partner))
+
+
+def _value_and_input_gradient(build, z, g):
+    """``build(leaf)``'s value, and the gradient that backward leaves on the
+    leaf when the output's upstream gradient is ``g``."""
+    x = ad.leaf(z)
+    out = build(x)
+    ad.backward(ad.sum_all(ad.mul_elem(out, g)))
+    return out.array, x.grad
+
+
+def _embeddings(rng, n, kind):
+    """Unit rows; with ``kind``, about a tenth of the entries (at least one)
+    hold a special value, or zeros and values far below any floor."""
+    z = randn(rng, n, 8)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    hit = rng.random(z.shape) < 0.1
+    hit[0, rng.integers(8)] = True
+    if kind == "tiny":
+        z[hit] = rng.choice([0.0, -0.0, 1e-310, -1e-300], hit.sum())
+    elif kind != "unit":
+        z[hit] = float(kind)
+    return z
+
+
+class TestFusedContrastiveParity:
+    @pytest.mark.parametrize("kind", ["unit", "nan", "inf", "-inf", "tiny"])
+    @pytest.mark.parametrize("n", [2, 1024])
+    def test_gram_and_info_nce_match_reference_chains(self, n, kind):
+        rng = np.random.default_rng([n, len(kind)])
+        z = _embeddings(rng, n, kind)
+        half = n // 2
+        partner = np.concatenate([np.arange(half) + half, np.arange(half)])
+        with np.errstate(all="ignore"):
+            for c in (5.0, 1.0):
+                g = randn(rng, n, n)
+                got = _value_and_input_gradient(lambda x: ad.gram(x, c), z, g)
+                want = _value_and_input_gradient(lambda x: _chain_gram(x, c), z, g)
+                for a, b in zip(got, want):
+                    assert_same_bits(a, b)
+                g = randn(rng, n, 1)
+                got = _value_and_input_gradient(
+                    lambda x: ad.info_nce_rows(x, partner, c), z, g
+                )
+                want = _value_and_input_gradient(
+                    lambda x: _chain_info_nce(x, partner, c), z, g
+                )
+                for a, b in zip(got, want):
+                    assert_same_bits(a, b)
+
+    def test_partner_shape_checked(self):
+        with pytest.raises(DimensionError, match=r"shape \(3,\)"):
+            ad.info_nce_rows(ad.leaf(np.eye(3)), np.array([1, 0]), 1.0)
+
+
 class TestClampedLogRowSum:
     def test_entry_below_floor_gets_zero_gradient(self):
         a = np.array([[0.0, 0.5, -3.0], [0.25, 0.0, 0.75], [0.5, 1e-310, 0.0]])
@@ -501,7 +605,8 @@ class TestValueOwnership:
         x = ad.leaf(randn(rng, 4, 3))
         sq = ad.leaf(np.abs(randn(rng, 4, 4)))
         outputs = [
-            ad.matmul(x, ad.transpose(x)),
+            ad.gram(x, 0.5),
+            ad.info_nce_rows(x, np.array([1, 0, 3, 2]), 2.0),
             ad.add(x, x),
             ad.scale(x, 2.0),
             ad.relu(x),
@@ -533,6 +638,8 @@ class TestValueOwnership:
             ad.masked_softmax_rows(sq, np.arange(5), temperature=0.3),
             ad.logsumexp_row(sq, np.arange(5)),
             ad.clamped_log_row_sum(sq, 1e-300, -0.25),
+            ad.gram(sq, 3.0),
+            ad.info_nce_rows(sq, np.array([1, 0, 3, 2, 2]), 3.0),
         ):
             g = randn(rng, *node.shape)
             kept = g.copy()
@@ -574,7 +681,7 @@ def test_finite_difference_suite(seed):
             lambda ls: ad.clamped_log_row_sum(ls[0], 0.1, 0.5),
             [below_floor],
         ),
-        "transpose": (lambda ls: ad.transpose(ls[0]), [randn(rng, n, m)]),
+        "gram": (lambda ls: ad.gram(ls[0], -0.7), [randn(rng, n, m)]),
         "mean": (lambda ls: ad.mean(ls[0]), [randn(rng, n, m)]),
         "sum_all": (lambda ls: ad.sum_all(ls[0]), [randn(rng, n, m)]),
         "row_sum": (lambda ls: ad.row_sum(ls[0]), [randn(rng, n, m)]),
@@ -582,8 +689,8 @@ def test_finite_difference_suite(seed):
             lambda ls: ad.take_rows(ls[0], np.array([3, 0, 3])),
             [randn(rng, n, m)],
         ),
-        "take_pairs": (
-            lambda ls: ad.take_pairs(ls[0], np.array([1, 0, 4, 4, 2])),
+        "info_nce_rows": (
+            lambda ls: ad.info_nce_rows(ls[0], np.array([1, 0, 4, 4, 2]), 2.5),
             [randn(rng, n, n)],
         ),
         "row_l2_normalize": (

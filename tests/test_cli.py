@@ -596,6 +596,53 @@ def test_mistyped_config_field_exits_one_naming_its_section(
     assert "Traceback" not in err
 
 
+_FLOAT_FIELDS = (
+    [("pretrain", f"train.{name}", "train") for name in (
+        "lr", "weight_decay", "beta1", "beta2", "eps", "temperature",
+        "lambda_graph", "lambda_cls", "label_fraction",
+    )]
+    + [("pretrain", f"train.augment.{name}", "train")
+       for name in ("weak_jitter", "weak_scale", "strong_jitter")]
+    + [("synth", f"synth.{name}", "synth") for name in (
+        "noise_sigma", "base_frequency", "frequency_step", "amplitude_decay",
+        "phase_spread", "test_fraction",
+    )]
+    + [("probe", "probe.lr", "probe")]
+)
+
+
+@pytest.mark.parametrize("value", ["true", '"0.1"', "[0.1]", "NaN"])
+@pytest.mark.parametrize("subcommand, key, section", _FLOAT_FIELDS)
+def test_float_field_rejects_non_numbers_and_nan(
+    workspace, subcommand, key, section, value, capsys
+):
+    code = run_cli(
+        [subcommand, "--config", str(workspace["config"]),
+         "--out", str(workspace["root"] / f"bad_float_{subcommand}"),
+         "--set", f"{key}={value}"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {workspace['config']}: {section} section: " in err
+    if value != "NaN":
+        assert f"{key.rsplit('.', 1)[1]} must be a number, got " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["train", "test"])
+def test_malformed_data_file_exits_one_naming_it(workspace, tmp_path, which, capsys):
+    bad = tmp_path / f"{which}.csv"
+    bad.write_text("0,1.0,2.0,3.0\n")  # 4 fields where a row needs 17
+    code = run_cli(
+        ["pretrain", "--config", str(workspace["config"]),
+         "--out", str(tmp_path / "out"), "--set", f"data.{which}_path={bad}"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: line 1: expected 17 fields" in err
+    assert "Traceback" not in err
+
+
 def test_no_subcommand_is_usage_error():
     assert run_cli([]) == 1
 

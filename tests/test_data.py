@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -41,6 +43,12 @@ class TestSynthSpec:
         for value in (float("nan"), float("inf")):
             with pytest.raises(ParameterError, match=f"{name} must be finite"):
                 SynthSpec(class_counts=(4, 2), **{name: value})
+
+
+    @pytest.mark.parametrize("value", [True, "0.1", [0.1]])
+    def test_shape_parameters_reject_bools_and_non_numbers(self, value):
+        with pytest.raises(ParameterError, match="noise_sigma must be a number, got "):
+            SynthSpec(class_counts=(4, 2), noise_sigma=value)
 
 
 class TestGenerate:
@@ -149,7 +157,7 @@ class TestDelimitedIO:
     def test_wrong_width_names_line_and_counts(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1.0,2.0\n1,1.0\n")
-        with pytest.raises(ParseError, match="line 2.*expected 3 fields.*found 2"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2.*expected 3 fields.*found 2"):
             load_delimited(path, channels=1, length=2)
 
     def test_label_out_of_range_rejected(self, tmp_path):

@@ -2,8 +2,10 @@
 handling, linear probing, the ablation lattice, and run-record plumbing."""
 
 import dataclasses
+import gc
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -118,6 +120,19 @@ def test_config_validation():
 def test_config_rejects_non_finite_rates_and_loss_settings(name, value):
     with pytest.raises(ParameterError, match=f"{name} must be finite"):
         TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["lr", "weight_decay", "beta1", "beta2", "eps", "temperature", "lambda_graph",
+     "lambda_cls", "label_fraction"],
+)
+@pytest.mark.parametrize("value", [True, False, "0.1", [0.1]])
+def test_config_float_fields_reject_bools_and_non_numbers(name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be a number, got "):
+        TrainConfig(**{name: value})
+    with pytest.raises(ParameterError, match="weak_scale must be a number, got "):
+        AugmentParams(weak_scale=value)
 
 
 @pytest.mark.parametrize(
@@ -247,6 +262,37 @@ def _three_step_epochs():
         seeds=(1,),
     )
     return data, config
+
+
+def test_each_step_graph_is_released_before_the_next_forward(monkeypatch):
+    # When step k+1 builds its similarity graph, step k's combined-loss node
+    # and its n x n adjacency must already be unreachable, so two step graphs
+    # are never alive at once.  Node values stand in for their nodes, which
+    # take no weak references; with gc off only reference counting frees them.
+    data, config = _three_step_epochs()
+    real_similarity, real_combined = harness.build_similarity, harness.loss_combined
+    refs, alive = [], []
+
+    def similarity(h, temperature):
+        alive.extend(i for i, ref in enumerate(refs) if ref() is not None)
+        sim = real_similarity(h, temperature)
+        refs.append(weakref.ref(sim.array))
+        return sim
+
+    def combined(*args, **kwargs):
+        report = real_combined(*args, **kwargs)
+        refs.append(weakref.ref(report.node.array))
+        return report
+
+    monkeypatch.setattr(harness, "build_similarity", similarity)
+    monkeypatch.setattr(harness, "loss_combined", combined)
+    gc.disable()
+    try:
+        pretrain(config, data, seed=1)
+    finally:
+        gc.enable()
+    assert len(refs) == 2 * 9  # 3 epochs of 3 steps
+    assert alive == []
 
 
 def _track_params(monkeypatch) -> dict:

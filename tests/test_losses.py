@@ -217,6 +217,24 @@ def _oracle_mid(a: np.ndarray, g: np.ndarray):
     return out, dx, underflow
 
 
+def _guarded_mid_op(a: np.ndarray, floor: float, c: float):
+    """``clamped_log_row_sum`` as first fused, holding its clamped copy and
+    keep-mask for the pullback: (output, pullback)."""
+    n = a.shape[0]
+    guarded = a.copy()
+    guarded[np.arange(n), np.arange(n)] += 1.0
+    keep = guarded > floor
+    np.fmax(guarded, floor, out=guarded)
+    out = np.log(guarded).sum(axis=1, keepdims=True) * c
+
+    def pull(g):
+        d = (g * c) / guarded
+        d *= keep
+        return d
+
+    return out, pull
+
+
 def _mid_alpha(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
     """A similarity matrix from the instance graph, then edited per ``kind``."""
     alpha = build_similarity(ad.leaf(rng.standard_normal((n, 3))), 0.2).array.copy()
@@ -253,6 +271,19 @@ class TestMultiInstanceParity:
         with np.errstate(all="ignore"):
             _, dx, _ = _oracle_mid(a, g)
         assert_same_bits(per.parents[0][1](g), dx)
+
+    @pytest.mark.parametrize("kind", ["graph", "below_floor", "nan", "inf", "-inf", "diagonal"])
+    @pytest.mark.parametrize("n", [2, 1024])
+    def test_matches_op_holding_its_clamped_copy(self, n, kind):
+        rng = np.random.default_rng([n, len(kind), 1])
+        a = _mid_alpha(rng, n, kind)
+        c = -1.0 / (n - 1)
+        g = rng.standard_normal((n, 1))
+        with np.errstate(all="ignore"):
+            node = ad.clamped_log_row_sum(ad.leaf(a), UNDERFLOW_FLOOR, c)
+            out, pull = _guarded_mid_op(a, UNDERFLOW_FLOOR, c)
+            assert_same_bits(node.array, out)
+            assert_same_bits(node.parents[0][1](g), pull(g))
 
 
 class TestConsistencyLoss:
