@@ -4,6 +4,8 @@ handling, linear probing, the ablation lattice, and run-record plumbing."""
 import dataclasses
 import gc
 import json
+import platform
+import resource
 import warnings
 import weakref
 
@@ -293,6 +295,22 @@ def test_each_step_graph_is_released_before_the_next_forward(monkeypatch):
         gc.enable()
     assert len(refs) == 2 * 9  # 3 epochs of 3 steps
     assert alive == []
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap policy is set through glibc")
+def test_repeat_training_reuses_freed_heap_pages():
+    # Each step frees its graph.  A heap that handed those pages back to the
+    # OS would fault about 14k of them in again during the second call.
+    data = split_labels(
+        generate(SynthSpec(class_counts=(120, 80), length=64, seed=4)),
+        0.3,
+        np.random.default_rng(0),
+    )
+    config = TrainConfig(variant="full", epochs=2, batch_size=96, seeds=(0,))
+    pretrain(config, data)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pretrain(config, data)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def _track_params(monkeypatch) -> dict:
