@@ -425,7 +425,7 @@ def _raise_if_non_finite(
 # trim threshold, which adapts to the largest block freed so far.  Each
 # training step frees its whole graph, so under the default policy the next
 # step faults the same pages in again: about 4 us a page on a 2-core VM,
-# which cost the criterion-6 geometry ~25k faults and ~20% of an epoch.
+# and at the criterion-6 geometry about 25k faults and 12% of an epoch.
 _HEAP_TRIM_THRESHOLD = 256 * 2**20
 _HEAP_MMAP_THRESHOLD = 32 * 2**20  # the largest value glibc accepts on 64-bit
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters from malloc.h
