@@ -57,8 +57,13 @@ class DiffNode:
 
     def gradient(self) -> Tensor2D:
         """Accumulated gradient of a leaf after a backward pass (zeros if
-        unreached).  ``backward`` keeps gradients on leaves only: an interior
-        node (one with parents) reads as zeros once the pass is over."""
+        unreached).  ``backward`` keeps gradients on leaves only, so asking an
+        interior node (one with parents) raises :class:`ParameterError`."""
+        if self.parents:
+            raise ParameterError(
+                f"gradient() reads leaves only; backward releases the gradient "
+                f"of interior node {self.op!r}"
+            )
         if self.grad is None:
             return Tensor2D.zeros(*self.shape)
         return Tensor2D(self.grad)
