@@ -108,7 +108,8 @@ class AugmentParams:
         scales = (self.weak_jitter, self.weak_scale, self.strong_jitter)
         if not all(np.isfinite(scales)) or min(scales) < 0:
             raise ParameterError(
-                f"noise scales must be finite and nonnegative, got {scales}"
+                "weak_jitter, weak_scale and strong_jitter must be finite and "
+                f"nonnegative, got {scales}"
             )
         check_integer("max_segments", self.max_segments)
         if self.max_segments < 1:

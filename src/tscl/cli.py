@@ -36,7 +36,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,7 +44,16 @@ from . import __version__
 from .augment import TimeSeriesBatch
 from .bounds import FUZZ_TEMPERATURES, SLACK_FLOOR, bound_sc, bound_uc, fuzz_bounds
 from .data import SynthSpec, generate, load_delimited, save_delimited, split_labels, stratified_split
-from .errors import ParameterError, TrainingDivergedError, check_integer, check_real
+from .errors import (
+    DegenerateInputError,
+    ParameterError,
+    ParseError,
+    TrainingDivergedError,
+    check_fields,
+    check_integer,
+    check_real,
+    read_json_object,
+)
 from .harness import (
     RunRecord,
     TrainConfig,
@@ -72,9 +81,18 @@ MANIFEST_SCHEMA = "tscl-manifest-v1"
 #: labeled subset is reproducible per seed yet independent of training noise.
 _LABEL_SPLIT_TAG = 7
 
+T = TypeVar("T")
+
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
+
+
+def _seed(text: str) -> int:
+    """An ``--seed`` value: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,21 +141,16 @@ def _write_manifest(
     os.replace(tmp, final)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, assignments: Sequence[str]) -> dict:
+    """The config document at ``path`` with the ``--set`` overrides applied."""
+    doc = _apply_overrides(read_json_object(path, "config"), assignments)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ParameterError(f"{path}: config file not found")
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"{path}: invalid JSON ({exc})")
-    if not isinstance(doc, dict):
-        raise ParameterError(f"{path}: config must be a JSON object")
-    schema = doc.get("schema")
-    if schema != CONFIG_SCHEMA:
-        raise ParameterError(
-            f"{path}: field 'schema' must be {CONFIG_SCHEMA!r}, got {schema!r}"
-        )
+        schema = doc.get("schema")
+        if schema != CONFIG_SCHEMA:
+            raise ParameterError(f"field 'schema' must be {CONFIG_SCHEMA!r}, got {schema!r}")
+        check_fields(doc, ("schema", "synth", "data", "train", "probe"), "top-level")
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
     return doc
 
 
@@ -162,81 +175,80 @@ def _apply_overrides(doc: dict, assignments: Sequence[str]) -> dict:
     return doc
 
 
-def _section(doc: dict, name: str, path: str, required: bool = True) -> dict:
+def _section(
+    doc: dict, name: str, path: str, build: Callable[[dict], T], required: bool = True
+) -> T:
+    """``build`` applied to section ``name`` of the config at ``path``; every
+    error, from the lookup or from ``build``, names the file and the section."""
     sec = doc.get(name)
-    if sec is None:
-        if required:
-            raise ParameterError(f"{path}: missing config section {name!r}")
-        return {}
-    if not isinstance(sec, dict):
-        raise ParameterError(f"{path}: section {name!r} must be an object")
-    return sec
-
-
-def _train_config(doc: dict, path: str) -> TrainConfig:
     try:
-        return TrainConfig.from_dict(_section(doc, "train", path))
+        if sec is None:
+            if required:
+                raise ParameterError("missing from the config")
+            sec = {}
+        if not isinstance(sec, dict):
+            raise ParameterError(f"must be an object, got {sec!r}")
+        return build(sec)
     except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{path}: train section: {exc}")
+        raise ParameterError(f"{path}: {name} section: {exc}") from None
 
 
-def _synth_spec(doc: dict, path: str) -> tuple[SynthSpec, float]:
-    sec = dict(_section(doc, "synth", path))
+def _synth_settings(sec: dict) -> tuple[SynthSpec, float]:
+    """The synth section's dataset recipe and its test fraction."""
+    sec = dict(sec)
     test_fraction = sec.pop("test_fraction", 0.2)
-    known = {f.name for f in dataclasses.fields(SynthSpec)}
-    extra = set(sec) - known
-    if extra:
-        raise ParameterError(f"{path}: synth section: unknown fields {sorted(extra)}")
-    try:
-        spec = SynthSpec(**sec)
-        check_real("test_fraction", test_fraction)
-        test_fraction = float(test_fraction)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{path}: synth section: {exc}")
+    check_fields(sec, {f.name for f in dataclasses.fields(SynthSpec)})
+    spec = SynthSpec(**sec)
+    check_real("test_fraction", test_fraction)
     if not 0.0 <= test_fraction < 1.0:  # 0 writes one unsplit full.csv
-        raise ParameterError(
-            f"{path}: synth section: test_fraction must lie in [0, 1), got {test_fraction}"
-        )
-    return spec, test_fraction
+        raise ParameterError(f"test_fraction must lie in [0, 1), got {test_fraction}")
+    return spec, float(test_fraction)
 
 
-def _load_dataset(doc: dict, path: str, which: str) -> TimeSeriesBatch:
-    sec = _section(doc, "data", path)
-    for field_name in (f"{which}_path", "channels", "length"):
-        if field_name not in sec:
-            raise ParameterError(f"{path}: data section: missing field {field_name!r}")
-    data_path = sec[f"{which}_path"]
-    try:
-        if not isinstance(data_path, str):
-            raise ParameterError(f"{which}_path must be a string, got {data_path!r}")
-        for field_name in ("channels", "length", "n_classes"):
-            if field_name in sec:
-                check_integer(field_name, sec[field_name])
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: data section: {exc}")
-    return load_delimited(
-        data_path,
-        channels=sec["channels"],
-        length=sec["length"],
-        n_classes=sec.get("n_classes"),
-    )
+def _probe_settings(sec: dict) -> tuple[int, float]:
+    """The probe section's epoch count and learning rate."""
+    check_fields(sec, ("epochs", "lr"))
+    epochs, lr = sec.get("epochs", 200), sec.get("lr", 1e-2)
+    check_probe_settings(epochs, lr)
+    return epochs, float(lr)
+
+
+def _data_files(sec: dict) -> tuple[tuple[str, str], dict]:
+    """The data section's train and test paths, and the row shape of both."""
+    check_fields(sec, ("train_path", "test_path", "channels", "length", "n_classes"))
+    for name in ("train_path", "test_path", "channels", "length"):
+        if name not in sec:
+            raise ParameterError(f"missing field {name!r}")
+    for name in ("train_path", "test_path"):
+        if not isinstance(sec[name], str):
+            raise ParameterError(f"{name} must be a string, got {sec[name]!r}")
+    for name in ("channels", "length", "n_classes"):
+        if name in sec:
+            check_integer(name, sec[name])
+            if sec[name] < 1:
+                raise ParameterError(f"{name} must be >= 1, got {sec[name]}")
+    shape = {name: sec.get(name) for name in ("channels", "length", "n_classes")}
+    return (sec["train_path"], sec["test_path"]), shape
+
+
+def _read_rows(path: str, shape: dict) -> TimeSeriesBatch:
+    batch = load_delimited(path, **shape)
+    if batch.n == 0:
+        raise ParseError(f"{path}: the file holds no data rows")
+    return batch
 
 
 def _training_inputs(
     args: argparse.Namespace,
 ) -> tuple[dict, TrainConfig, int, float, TimeSeriesBatch, TimeSeriesBatch]:
     """Config document, train config, probe epochs and rate, train and test sets."""
-    doc = _apply_overrides(_load_config(args.config), args.set)
-    config = _train_config(doc, args.config)
-    probe_sec = _section(doc, "probe", args.config, required=False)
-    try:
-        probe_epochs, probe_lr = probe_sec.get("epochs", 200), probe_sec.get("lr", 1e-2)
-        check_probe_settings(probe_epochs, probe_lr)
-        probe_lr = float(probe_lr)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{args.config}: probe section: {exc}")
-    train = _load_dataset(doc, args.config, "train")
-    test = _load_dataset(doc, args.config, "test")
+    doc = _load_config(args.config, args.set)
+    config = _section(doc, "train", args.config, TrainConfig.from_dict)
+    probe_epochs, probe_lr = _section(
+        doc, "probe", args.config, _probe_settings, required=False
+    )
+    paths, shape = _section(doc, "data", args.config, _data_files)
+    train, test = (_read_rows(path, shape) for path in paths)
     return doc, config, probe_epochs, probe_lr, train, test
 
 
@@ -251,39 +263,32 @@ def _label_split_for_seed(
 # verify-bounds
 
 
+def _case_array(case: dict, field_name: str, dtype) -> np.ndarray:
+    if field_name not in case:
+        raise ParameterError(f"missing field {field_name!r}")
+    entries = case[field_name]
+    try:
+        if field_name != "values":  # indices: a flat list of integers, never truncated
+            if not isinstance(entries, list):
+                raise ParameterError(f"must be a list of integers, got {entries!r}")
+            for value in entries:
+                check_integer("entry", value)
+        return np.asarray(entries, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"field {field_name!r}: {exc}") from None
+
+
 def _evaluate_case(case_path: str) -> dict:
+    case = read_json_object(case_path, "case")
     try:
-        with open(case_path, "r", encoding="utf-8") as fh:
-            case = json.load(fh)
-    except FileNotFoundError:
-        raise ParameterError(f"{case_path}: case file not found")
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"{case_path}: invalid JSON ({exc})")
-    if not isinstance(case, dict):
-        raise ParameterError(
-            f"{case_path}: case must be a JSON object, got {type(case).__name__}"
-        )
-    arrays = {}
-    for field_name, dtype in (("values", np.float64), ("labels", np.int64), ("partner", np.intp)):
-        if field_name not in case:
-            raise ParameterError(f"{case_path}: missing field {field_name!r}")
-        entries = case[field_name]
-        try:
-            if field_name != "values":  # indices: a flat list of integers, never truncated
-                if not isinstance(entries, list):
-                    raise ParameterError(f"must be a list of integers, got {entries!r}")
-                for value in entries:
-                    check_integer("entry", value)
-            arrays[field_name] = np.asarray(entries, dtype=dtype)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"{case_path}: field {field_name!r}: {exc}")
-    temperature = case.get("temperature", 1.0)
-    if isinstance(temperature, bool) or not isinstance(temperature, (int, float)):
-        raise ParameterError(
-            f"{case_path}: field 'temperature' must be a number, got {temperature!r}"
-        )
-    temperature = float(temperature)
-    try:
+        check_fields(case, ("values", "labels", "partner", "temperature"), "case")
+        arrays = {
+            name: _case_array(case, name, dtype)
+            for name, dtype in (("values", np.float64), ("labels", np.int64), ("partner", np.intp))
+        }
+        temperature = case.get("temperature", 1.0)
+        check_real("field 'temperature'", temperature)
+        temperature = float(temperature)
         idx = BatchIndexing(labels=arrays["labels"], partner=arrays["partner"])
         reports = [
             (y, kind, fn(arrays["values"], idx, y, temperature=temperature))
@@ -385,8 +390,8 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     started = time.time()
-    doc = _apply_overrides(_load_config(args.config), args.set)
-    spec, test_fraction = _synth_spec(doc, args.config)
+    doc = _load_config(args.config, args.set)
+    spec, test_fraction = _section(doc, "synth", args.config, _synth_settings)
     out_dir = _output_dir(args, "synth")
 
     full = generate(spec)
@@ -517,9 +522,12 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         source = "untrained (random initialization)"
 
     labeled = _label_split_for_seed(train, config.label_fraction, seed)
-    _, report = linear_probe(
-        params, model_config, labeled, test, epochs=probe_epochs, lr=probe_lr
-    )
+    try:
+        _, report = linear_probe(
+            params, model_config, labeled, test, epochs=probe_epochs, lr=probe_lr
+        )
+    except DegenerateInputError as exc:  # e.g. a checkpoint that overflows the encoder
+        raise DegenerateInputError(f"{source}: {exc}") from exc
     payload = {
         "schema": "tscl-metrics-v1",
         "seed": seed,
@@ -545,8 +553,9 @@ def _format_cell(values: list[float]) -> str:
     return f"{arr.mean():.2f}±{arr.std():.2f}"
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_score(value) -> bool:
+    """A fraction in [0, 1]; NaN is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
 
 
 def _check_final_metrics(metrics, path: Path) -> None:
@@ -556,16 +565,16 @@ def _check_final_metrics(metrics, path: Path) -> None:
     if not isinstance(metrics, dict):
         raise ParameterError(f"{path}: final_metrics must be an object, got {metrics!r}")
     for name in ("accuracy", "macro_f1"):
-        if not _is_number(metrics.get(name)):
-            raise ParameterError(f"{path}: final_metrics has no numeric {name!r}")
+        if not _is_score(metrics.get(name)):
+            raise ParameterError(f"{path}: final_metrics has no numeric {name!r} in [0, 1]")
     per_class = metrics.get("per_class")
     if not isinstance(per_class, dict):
         raise ParameterError(f"{path}: final_metrics has no 'per_class' object")
     for y, entry in per_class.items():
-        if not (y.isdigit() and isinstance(entry, dict) and _is_number(entry.get("f1"))):
+        if not (y.isdigit() and isinstance(entry, dict) and _is_score(entry.get("f1"))):
             raise ParameterError(
                 f"{path}: final_metrics per_class entry {y!r} needs a class index "
-                "and a numeric 'f1'"
+                "and a numeric 'f1' in [0, 1]"
             )
 
 
@@ -634,7 +643,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-bounds", help="fuzz the loss lower bounds")
     add_common(p)
     p.add_argument("--configurations", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-batch", type=int, default=16, help="max batch size (pairs x2)")
     p.add_argument("--max-dim", type=int, default=8, help="max embedding dimension")
     p.add_argument("--max-classes", type=int, default=4)
@@ -663,7 +672,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--params", default=None, help="checkpoint (default: untrained encoder)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("report", help="aggregate run records into mean±std tables")

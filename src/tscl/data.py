@@ -20,6 +20,7 @@ from tscl.errors import (
     ParameterError,
     ParseError,
     check_integer,
+    check_integer_list,
     check_real,
 )
 
@@ -39,14 +40,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.class_counts, (list, tuple)):
-            raise ParameterError(f"class_counts must be a list, got {self.class_counts!r}")
-        for value in self.class_counts:
-            check_integer("class_counts entry", value)
+        counts = check_integer_list("class_counts", self.class_counts)
+        object.__setattr__(self, "class_counts", counts)
         for name in ("length", "channels", "seed"):
             check_integer(name, getattr(self, name))
-        counts = tuple(int(c) for c in self.class_counts)
-        object.__setattr__(self, "class_counts", counts)
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if len(counts) < 2:
             raise ParameterError("need at least two classes")
         if any(c < 1 for c in counts):

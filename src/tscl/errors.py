@@ -1,6 +1,18 @@
 """Exception types raised by the library's validation contracts, and the
-typed field checks that every config section and input file shares."""
+checks that every input boundary shares.
 
+Every JSON input (config, ``--case`` file, checkpoint, run record) is read
+by :func:`read_json_object`, so a missing file, text that is not UTF-8 JSON
+and a payload that is not an object fail alike and name the file.  Every
+object with a fixed set of fields (each config section, ``train.augment``,
+the config's top level, the case file) rejects unknown ones through
+:func:`check_fields`, and each field is typed by :func:`check_integer`,
+:func:`check_real`, :func:`check_bool` or :func:`check_integer_list`.
+Callers add the file (and the config section) to the message once, where
+the object is read.
+"""
+
+import json
 import numbers
 
 
@@ -68,3 +80,34 @@ def check_real(name: str, value) -> None:
 def check_bool(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ParameterError(f"{name} must be true or false, got {value!r}")
+
+
+def check_integer_list(name: str, value) -> tuple[int, ...]:
+    """Raise unless ``value`` is a list (or tuple) of ints; return it as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError(f"{name} must be a list, got {value!r}")
+    for entry in value:
+        check_integer(f"{name} entry", entry)
+    return tuple(int(entry) for entry in value)
+
+
+def check_fields(given, known, kind: str = "config") -> None:
+    """Raise unless every key of ``given`` is one of the ``known`` field names."""
+    unknown = set(given) - set(known)
+    if unknown:
+        raise ParameterError(f"unknown {kind} fields: {sorted(unknown)}")
+
+
+def read_json_object(path, kind: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; every error names the
+    file, and ``kind`` ("config", "checkpoint", ...) says what it should be."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise ParameterError(f"{path}: {kind} file not found") from None
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ParameterError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: {kind} must be a JSON object, got {type(doc).__name__}")
+    return doc

@@ -31,8 +31,11 @@ from .errors import (
     ParameterError,
     TrainingDivergedError,
     check_bool,
+    check_fields,
     check_integer,
+    check_integer_list,
     check_real,
+    read_json_object,
 )
 from .graph import build_similarity
 from .losses import (
@@ -142,14 +145,13 @@ class TrainConfig:
     augment: AugmentParams = field(default_factory=AugmentParams)
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             known = ", ".join(sorted(VARIANTS))
             raise ParameterError(f"unknown variant {self.variant!r} (known: {known})")
         for name in ("epochs", "batch_size", "embed_dim", "kernel", "pool_width"):
             check_integer(name, getattr(self, name))
         for name in ("seeds", "conv_channels"):
-            for value in getattr(self, name):
-                check_integer(f"{name} entry", value)
+            object.__setattr__(self, name, check_integer_list(name, getattr(self, name)))
         check_bool("self_loop", self.self_loop)
         for name in ("lr", "weight_decay", "beta1", "beta2", "eps", "temperature",
                      "lambda_graph", "lambda_cls", "label_fraction"):
@@ -162,22 +164,29 @@ class TrainConfig:
             raise ParameterError(f"batch size must be >= 2, got {self.batch_size}")
         if not self.seeds:
             raise ParameterError("seeds must be a nonempty sequence")
-        for name in ("lr", "weight_decay", "temperature", "lambda_graph", "lambda_cls"):
+        if min(self.seeds) < 0:
+            raise ParameterError(f"seeds must be >= 0, got {list(self.seeds)}")
+        for name in ("temperature", "lambda_graph", "lambda_cls"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-        if self.lr < 0.0 or self.weight_decay < 0.0:
-            raise ParameterError("learning rate and weight decay must be nonnegative")
         check_temperature(self.temperature)
         if self.lambda_graph < 0.0 or self.lambda_cls < 0.0:
-            raise ParameterError("loss weights must be nonnegative")
+            raise ParameterError(
+                f"lambda_graph and lambda_cls must be nonnegative, got "
+                f"{self.lambda_graph} and {self.lambda_cls}"
+            )
         if not 0.0 < self.label_fraction <= 1.0:
             raise ParameterError(
                 f"label fraction must be in (0, 1], got {self.label_fraction}"
             )
-        if self.embed_dim < 1:
-            raise ParameterError(f"embedding dimension must be >= 1, got {self.embed_dim}")
-        self.adam_config()  # raises on bad betas or eps
+        if min(self.embed_dim, self.kernel, self.pool_width, *self.conv_channels) < 1:
+            raise ParameterError(
+                f"architecture sizes must be positive, got embed_dim {self.embed_dim}, "
+                f"kernel {self.kernel}, pool_width {self.pool_width} and "
+                f"conv_channels {list(self.conv_channels)}"
+            )
+        self.adam_config()  # raises on a bad rate, weight decay, beta or eps
 
     def adam_config(self) -> AdamConfig:
         """The optimizer settings; Adam's own checks live in AdamConfig."""
@@ -202,16 +211,12 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        check_fields(d, {f.name for f in dataclasses.fields(cls)})
         d = dict(d)
-        if "augment" in d and isinstance(d["augment"], dict):
+        if isinstance(d.get("augment"), dict):
+            check_fields(d["augment"], {f.name for f in dataclasses.fields(AugmentParams)},
+                         "augment")
             d["augment"] = AugmentParams(**d["augment"])
-        for name in ("conv_channels", "seeds"):
-            if name in d:
-                d[name] = tuple(d[name])
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ParameterError(f"unknown config fields: {sorted(extra)}")
         return cls(**d)
 
 
@@ -270,8 +275,8 @@ class EpochStats:
 class RunRecord:
     """Everything one training run produced, ready for JSON round-tripping.
 
-    ``metric_scale`` states once, for the whole file, whether metric values
-    live in [0, 1] (``"fraction"``) or [0, 100] (``"percent"``).
+    ``metric_scale`` states once, for the whole file, that metric values
+    live in [0, 1] (``"fraction"``), the one scale written and read.
     """
 
     seed: int
@@ -328,13 +333,7 @@ def save_run_record(record: RunRecord, path: str) -> None:
 
 def load_run_record(path: str) -> RunRecord:
     """Read a ``save_run_record`` file; a malformed one raises ParameterError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise ParameterError(f"{path}: invalid JSON ({exc})")
-    if not isinstance(d, dict):
-        raise ParameterError(f"{path}: run record must be a JSON object, got {type(d).__name__}")
+    d = read_json_object(path, "run record")
     fields = (("seed", int, "an integer"), ("variant", str, "a string"),
               ("config", dict, "an object"), ("epoch_stats", list, "a list"))
     for name, kind, noun in fields:
@@ -344,6 +343,13 @@ def load_run_record(path: str) -> RunRecord:
             raise ParameterError(
                 f"{path}: run record field {name!r} must be {noun}, got {d[name]!r}"
             )
+    if d["seed"] < 0:
+        raise ParameterError(f"{path}: run record field 'seed' must be >= 0, got {d['seed']}")
+    if d.get("metric_scale", "fraction") != "fraction":
+        raise ParameterError(
+            f"{path}: run record field 'metric_scale' must be 'fraction', "
+            f"got {d['metric_scale']!r}"
+        )
     try:
         return RunRecord.from_dict(d)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -627,6 +633,8 @@ def linear_probe(
 
     x = encode(train.take(labeled), params.encoder, model_config).array
     test_h = encode(test, params.encoder, model_config)
+    if not (np.isfinite(x).all() and np.isfinite(test_h.array).all()):
+        raise DegenerateInputError("the frozen encoder gives non-finite embeddings")
 
     # Bias and weight are views of one flat buffer, and so are their
     # gradients, so one elementwise Adam update covers both.

@@ -17,7 +17,7 @@ import numpy as np
 
 from tscl import autodiff as ad
 from tscl.augment import TimeSeriesBatch
-from tscl.errors import DimensionError, InvalidGraphError, ParameterError
+from tscl.errors import DimensionError, InvalidGraphError, ParameterError, read_json_object
 from tscl.graph import check_adjacency
 from tscl.tensor import Tensor2D
 
@@ -285,14 +285,10 @@ def save_values(values: dict[str, Tensor2D], path: str | Path) -> None:
 
 def load_values(path: str | Path) -> dict[str, Tensor2D]:
     """Read a ``save_values`` checkpoint; a malformed one raises ParameterError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise ParameterError(f"{path}: invalid JSON ({exc})")
-    fmt = payload.get("format") if isinstance(payload, dict) else None
+    payload = read_json_object(path, "checkpoint")
+    fmt = payload.get("format")
     if fmt != "tscl-params-v1":
-        raise ParameterError(f"unrecognized checkpoint format {fmt!r} in {path}")
+        raise ParameterError(f"{path}: unrecognized checkpoint format {fmt!r}")
     arrays = payload.get("arrays")
     if not isinstance(arrays, dict):
         raise ParameterError(f"{path}: checkpoint has no 'arrays' object")
@@ -319,4 +315,7 @@ def _checkpoint_array(entry, where: str) -> Tensor2D:
         raise ParameterError(
             f"{where} has {len(data)} values, its shape {rows}x{cols} needs {rows * cols}"
         )
-    return Tensor2D(np.array(data, dtype=np.float64).reshape(rows, cols))
+    array = np.array(data, dtype=np.float64).reshape(rows, cols)
+    if not np.isfinite(array).all():
+        raise ParameterError(f"{where} holds a non-finite value")
+    return Tensor2D(array)

@@ -25,7 +25,7 @@ class AdamConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ParameterError(f"learning rate must be finite and >= 0, got {self.lr}")
+            raise ParameterError(f"lr must be finite and nonnegative, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ParameterError(
                 f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}"
@@ -34,7 +34,7 @@ class AdamConfig:
             raise ParameterError(f"eps must be positive and finite, got {self.eps}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ParameterError(
-                f"weight decay must be finite and >= 0, got {self.weight_decay}"
+                f"weight_decay must be finite and nonnegative, got {self.weight_decay}"
             )
 
 

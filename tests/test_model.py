@@ -286,7 +286,7 @@ class TestCheckpoints:
             ({"format": "tscl-params-v1",
               "arrays": {"w": {"shape": [1, 2], "data": [[1.0, 2.0]]}}},
              "not a flat list of numbers"),
-            ([1, 2], "unrecognized checkpoint format None"),
+            ([1, 2], "checkpoint must be a JSON object, got list"),
         ],
     )
     def test_malformed_checkpoint_names_file_and_entry(self, tmp_path, payload, message):
