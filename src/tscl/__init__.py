@@ -8,7 +8,7 @@ imbalanced time-series data.
 
 __version__ = "0.1.0"
 
-from tscl.tensor import Tensor2D, softmax_row
+from tscl.tensor import Tensor2D
 from tscl.autodiff import DiffNode
 
-__all__ = ["Tensor2D", "DiffNode", "softmax_row", "__version__"]
+__all__ = ["Tensor2D", "DiffNode", "__version__"]

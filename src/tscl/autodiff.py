@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from tscl.errors import DegenerateInputError, DimensionError, ParameterError
-from tscl.tensor import Tensor2D, as_array, softmax_row, softmax_rows_inplace
+from tscl.tensor import Tensor2D, as_array, check_temperature, softmax_rows_inplace
 
 Pullback = Callable[[np.ndarray], np.ndarray]
 
@@ -170,20 +170,6 @@ def scale(a: DiffNode, c: float) -> DiffNode:
     )
 
 
-def sub(a: DiffNode, b: DiffNode) -> DiffNode:
-    return add(a, scale(b, -1.0))
-
-
-def mul_elem(a: DiffNode, c) -> DiffNode:
-    """Elementwise product with a constant matrix (no gradient through c)."""
-    cv = as_array(c)
-    if cv.shape != a.shape:
-        raise DimensionError(f"mul_elem shape mismatch: {a.shape} * {cv.shape}")
-    return DiffNode(
-        Tensor2D._adopt(a.array * cv), parents=[(a, lambda g: g * cv)], op="mul_elem"
-    )
-
-
 def relu(a: DiffNode) -> DiffNode:
     mask = a.array > 0
     return DiffNode(
@@ -191,13 +177,6 @@ def relu(a: DiffNode) -> DiffNode:
         parents=[(a, lambda g: g * mask)],
         op="relu",
     )
-
-
-def exp(a: DiffNode) -> DiffNode:
-    out = np.exp(a.array)
-    if not np.isfinite(out).all():
-        raise DegenerateInputError("exp overflowed to a non-finite value")
-    return DiffNode(Tensor2D._adopt(out), parents=[(a, lambda g: g * out)], op="exp")
 
 
 def clamped_log_row_sum(a: DiffNode, floor: float, c: float) -> DiffNode:
@@ -248,26 +227,6 @@ def mean(a: DiffNode) -> DiffNode:
     )
 
 
-def sum_all(a: DiffNode) -> DiffNode:
-    out = np.array([[a.array.sum()]])
-    shape = a.shape
-    return DiffNode(
-        Tensor2D._adopt(out),
-        parents=[(a, lambda g: np.full(shape, g[0, 0]))],
-        op="sum_all",
-    )
-
-
-def row_sum(a: DiffNode) -> DiffNode:
-    """Sum each row into an Nx1 column."""
-    cols = a.shape[1]
-    return DiffNode(
-        Tensor2D._adopt(a.array.sum(axis=1, keepdims=True)),
-        parents=[(a, lambda g: np.repeat(g, cols, axis=1))],
-        op="row_sum",
-    )
-
-
 def take_rows(a: DiffNode, indices) -> DiffNode:
     idx = np.asarray(indices, dtype=np.intp)
     shape = a.shape
@@ -296,15 +255,12 @@ def row_l2_normalize(a: DiffNode) -> DiffNode:
     return DiffNode(Tensor2D._adopt(out), parents=[(a, pull)], op="row_l2_normalize")
 
 
-def masked_softmax_rows(
-    a: DiffNode,
-    excluded: Optional[np.ndarray] = None,
-    temperature: float = 1.0,
-) -> DiffNode:
-    """Differentiable row softmax of a/temperature with one optional
-    excluded column per row (exact zeros there)."""
-    value = softmax_row(a.value, mask=excluded, temperature=temperature)
-    out = value.array
+def masked_softmax_rows(a: DiffNode, excluded: np.ndarray, temperature: float = 1.0) -> DiffNode:
+    """Differentiable row softmax of a/temperature with one excluded column
+    per row (exact zeros there)."""
+    check_temperature(temperature)
+    out = a.array / float(temperature)
+    softmax_rows_inplace(out, excluded)
     inv_t = 1.0 / float(temperature)
 
     def pull(g: np.ndarray) -> np.ndarray:
@@ -315,9 +271,10 @@ def masked_softmax_rows(
         d *= inv_t
         return d
 
-    return DiffNode(value, parents=[(a, pull)], op="masked_softmax_rows")
+    return DiffNode(Tensor2D._adopt(out), parents=[(a, pull)], op="masked_softmax_rows")
 
 
+# No library code calls this op; bench/tracing.py replays it by name.
 def logsumexp_row(a: DiffNode, excluded: Optional[np.ndarray] = None) -> DiffNode:
     """Stabilized log-sum-exp of each row (Nx1), skipping excluded entries.
 
@@ -387,6 +344,43 @@ def info_nce_rows(z: DiffNode, partner, c: float) -> DiffNode:
     return DiffNode(Tensor2D._adopt(out), parents=[(z, pull)], op="info_nce_rows")
 
 
+def sup_con_rows(z: DiffNode, labels, c: float) -> DiffNode:
+    """Per-row supervised contrastive loss over the scaled Gram matrix
+    ``s = c * z @ z.T`` (Nx1): the log-sum-exp of row i without its diagonal
+    entry, minus the mean of ``s[i, j]`` over the other rows j of i's class.
+
+    Every row needs another row of its class.  As in :func:`info_nce_rows`,
+    the Gram buffer is read for the positives and then overwritten by its row
+    softmax; the pullback rebuilds the class mask from ``labels``, so the node
+    keeps no other n x n array.
+    """
+    y = np.asarray(labels)
+    n = z.shape[0]
+    if y.shape != (n,):
+        raise DimensionError(f"labels must have shape ({n},), got {y.shape}")
+    c = float(c)
+    rows = np.arange(n)
+
+    def positives() -> np.ndarray:
+        same = y[:, None] == y[None, :]
+        same[rows, rows] = False
+        return same
+
+    soft, pull_scaled = _gram_value(z, c)
+    same = positives()
+    inv_counts = 1.0 / same.sum(axis=1, keepdims=True)
+    mean_pos = (soft * same).sum(axis=1, keepdims=True) * inv_counts
+    out = softmax_rows_inplace(soft, rows) - mean_pos
+
+    def pull(g: np.ndarray) -> np.ndarray:
+        d = g * soft
+        d += (-g * inv_counts) * positives()
+        d *= c
+        return pull_scaled(d)
+
+    return DiffNode(Tensor2D._adopt(out), parents=[(z, pull)], op="sup_con_rows")
+
+
 def _softmax_ce(lv: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row log-sum-exp (Nx1) of logits ``lv``, and softmax(lv) minus one-hot(y).
 
@@ -429,14 +423,14 @@ def cross_entropy_with_logits(logits: DiffNode, labels) -> DiffNode:
 def conv1d(
     x: DiffNode,
     w: DiffNode,
-    b: Optional[DiffNode],
+    b: DiffNode,
     channels: int,
     length: int,
 ) -> DiffNode:
     """Stride-1, same-padded 1-D convolution.
 
     ``x`` is (n, channels*length); ``w`` is (c_out, channels*k) with the same
-    channel-major layout; ``b`` is an optional (1, c_out) bias added to every
+    channel-major layout; ``b`` is a (1, c_out) bias added to every
     timestep of the matching output channel.  Output is (n, c_out*length).
     """
     n, width = x.shape
@@ -450,7 +444,7 @@ def conv1d(
             f"conv1d weight width {wcols} not a multiple of channels {channels}"
         )
     k = wcols // channels
-    if b is not None and b.shape != (1, c_out):
+    if b.shape != (1, c_out):
         raise DimensionError(f"conv1d bias must be (1, {c_out}), got {b.shape}")
 
     pad_left = (k - 1) // 2
@@ -463,8 +457,7 @@ def conv1d(
     patches = windows.transpose(0, 2, 1, 3).reshape(n * length, channels * k)
     out2 = patches @ wv.T  # (n*L, c_out)
     out = out2.reshape(n, length, c_out).transpose(0, 2, 1).reshape(n, c_out * length)
-    if b is not None:
-        out = out + np.repeat(b.array[0], length)[None, :]
+    out = out + np.repeat(b.array[0], length)[None, :]
 
     def reshape_grad(g: np.ndarray) -> np.ndarray:
         return g.reshape(n, c_out, length).transpose(0, 2, 1).reshape(n * length, c_out)
@@ -480,10 +473,12 @@ def conv1d(
     def pull_w(g: np.ndarray) -> np.ndarray:
         return reshape_grad(g).T @ patches
 
-    parents: list[tuple[DiffNode, Pullback]] = [(x, pull_x), (w, pull_w)]
-    if b is not None:
-        parents.append((b, lambda g: reshape_grad(g).sum(axis=0, keepdims=True)))
-    return DiffNode(Tensor2D._adopt(out), parents=parents, op="conv1d")
+    def pull_b(g: np.ndarray) -> np.ndarray:
+        return reshape_grad(g).sum(axis=0, keepdims=True)
+
+    return DiffNode(
+        Tensor2D._adopt(out), parents=[(x, pull_x), (w, pull_w), (b, pull_b)], op="conv1d"
+    )
 
 
 def max_pool1d(x: DiffNode, channels: int, length: int, width: int) -> DiffNode:

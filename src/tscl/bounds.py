@@ -285,12 +285,6 @@ def bound_uc(
     return bound_uc_from_sims(_unit_sims(z), idx, class_index, temperature, tol)
 
 
-def check_equality_conditions(
-    z, idx: BatchIndexing, class_index: int, tol: float = 1e-9
-) -> EqualityConditions:
-    return equality_conditions_from_sims(_unit_sims(z), idx, class_index, tol)
-
-
 @dataclass(frozen=True)
 class ImbalanceAnalysis:
     """Majority-vs-minority comparison of the bound's log argument.

@@ -334,6 +334,7 @@ def _evaluate_case(case_path: str) -> dict:
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     started = time.time()
+    case_report = _evaluate_case(args.case) if args.case else None  # fails before the sweep
     out_dir = _output_dir(args, "verify-bounds")
     taus = args.tau or list(FUZZ_TEMPERATURES)
     summary = fuzz_bounds(
@@ -344,7 +345,6 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         max_classes=args.max_classes,
         temperatures=tuple(taus),
     )
-    case_report = _evaluate_case(args.case) if args.case else None
     violations = summary.violations + (case_report["violations"] if case_report else 0)
 
     payload = {

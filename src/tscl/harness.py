@@ -631,8 +631,11 @@ def linear_probe(
             stacklevel=2,
         )
 
-    x = encode(train.take(labeled), params.encoder, model_config).array
-    test_h = encode(test, params.encoder, model_config)
+    # A finite checkpoint can still overflow the encoder; the check below
+    # reports that, so NumPy's warnings about it would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = encode(train.take(labeled), params.encoder, model_config).array
+        test_h = encode(test, params.encoder, model_config)
     if not (np.isfinite(x).all() and np.isfinite(test_h.array).all()):
         raise DegenerateInputError("the frozen encoder gives non-finite embeddings")
 

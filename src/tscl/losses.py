@@ -183,7 +183,11 @@ def loss_id(z: ad.DiffNode, idx: BatchIndexing, temperature: float) -> LossRepor
 
 
 def loss_sc(z: ad.DiffNode, idx: BatchIndexing, temperature: float) -> LossReport:
-    """Supervised contrastive loss: per anchor, mean over same-class positives."""
+    """Supervised contrastive loss: per anchor, mean over same-class positives.
+
+    One ``sup_con_rows`` node holds the whole term, as ``info_nce_rows`` does
+    for :func:`loss_uc`.
+    """
     check_unit_rows(z)
     n = z.shape[0]
     if idx.n != n:
@@ -193,14 +197,8 @@ def loss_sc(z: ad.DiffNode, idx: BatchIndexing, temperature: float) -> LossRepor
         raise DegenerateClassError(
             f"classes with a single batch member have no positives: {singletons}"
         )
-    labels = idx.labels
-    pos_mask = (labels[:, None] == labels[None, :]).astype(np.float64)
-    np.fill_diagonal(pos_mask, 0.0)
-    counts = pos_mask.sum(axis=1, keepdims=True)
-    scaled = ad.gram(z, _inverse_temperature(z, temperature))
-    lse = ad.logsumexp_row(scaled, excluded=np.arange(n))
-    mean_pos = ad.mul_elem(ad.row_sum(ad.mul_elem(scaled, pos_mask)), 1.0 / counts)
-    return _finalize("SC", ad.sub(lse, mean_pos), labels)
+    per = ad.sup_con_rows(z, idx.labels, _inverse_temperature(z, temperature))
+    return _finalize("SC", per, idx.labels)
 
 
 def loss_mid(

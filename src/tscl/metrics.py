@@ -27,9 +27,6 @@ class MetricsReport:
     per_class: dict[int, ClassMetrics]
     confusion: np.ndarray
 
-    def f1_of(self, class_index: int) -> float:
-        return self.per_class[class_index].f1
-
     def to_dict(self) -> dict:
         return {
             "accuracy": self.accuracy,

@@ -104,10 +104,6 @@ class ProjectionParams:
     def named(self) -> dict[str, ad.DiffNode]:
         return {"projection.w1": self.w1, "projection.w2": self.w2}
 
-    @property
-    def parameter_count(self) -> int:
-        return self.w1.value.array.size + self.w2.value.array.size
-
 
 @dataclass(frozen=True)
 class ClassifierParams:

@@ -5,7 +5,7 @@ kernel behind every row softmax and log-sum-exp in the package.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -48,32 +48,16 @@ class Tensor2D:
         raise AttributeError("Tensor2D is immutable")
 
     @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.array.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """Row-major flat view of the entries."""
-        return self.array.reshape(-1)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Tensor2D":
-        return cls(np.asarray(rows, dtype=np.float64))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Tensor2D":
         return cls(np.zeros((rows, cols)))
 
     def __repr__(self) -> str:
-        return f"Tensor2D({self.rows}x{self.cols})"
+        r, c = self.shape
+        return f"Tensor2D({r}x{c})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tensor2D) and np.array_equal(self.array, other.array)
@@ -122,21 +106,3 @@ def softmax_rows_inplace(buf: np.ndarray, excluded: Optional[np.ndarray] = None)
     s = np.add.reduce(buf, axis=1, keepdims=True)
     buf /= s
     return mx + np.log(s)
-
-
-def softmax_row(
-    x,
-    mask: Optional[np.ndarray] = None,
-    temperature: float = 1.0,
-) -> Tensor2D:
-    """Row-wise softmax with per-row max subtraction for stability.
-
-    ``mask``, when given, holds one excluded column index per row; the
-    excluded entry is exactly 0 in the output and the remaining entries
-    of the row sum to 1.  All the work happens in one (n, m) buffer.
-    """
-    a = as_array(x)
-    check_temperature(temperature)
-    e = a / float(temperature)
-    softmax_rows_inplace(e, mask)
-    return Tensor2D._adopt(e)

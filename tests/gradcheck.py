@@ -45,6 +45,15 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - numeric) / denom)
 
 
+def project_sum(out: ad.DiffNode, proj: np.ndarray) -> ad.DiffNode:
+    """The scalar ``sum(out * proj)`` as one node: a fixed linear functional
+    that turns a matrix-valued output into something to differentiate."""
+    value = np.array([[np.sum(out.array * proj)]])
+    return ad.DiffNode(
+        Tensor2D._adopt(value), parents=[(out, lambda g: g[0, 0] * proj)], op="project_sum"
+    )
+
+
 def check_op_gradients(
     build: Callable[[Sequence[ad.DiffNode]], ad.DiffNode],
     arrays: Sequence[np.ndarray],
@@ -61,8 +70,7 @@ def check_op_gradients(
     out = build(leaves)
     proj = rng.standard_normal(out.shape)
 
-    scalar = ad.sum_all(ad.mul_elem(out, proj))
-    ad.backward(scalar)
+    ad.backward(project_sum(out, proj))
 
     def objective(arrs: Sequence[np.ndarray]) -> float:
         nodes = [ad.leaf(Tensor2D(a)) for a in arrs]

@@ -1,13 +1,22 @@
 """Contracts and gradient checks for the dense autodiff primitives."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tscl import autodiff as ad
 from tscl.errors import DegenerateInputError, DimensionError, ParameterError
-from tscl.tensor import Tensor2D, softmax_row
+from tscl.tensor import Tensor2D, softmax_rows_inplace
 
-from gradcheck import assert_same_bits, check_op_gradients, fd_gradient, relative_error
+from gradcheck import (
+    assert_same_bits,
+    check_op_gradients,
+    fd_gradient,
+    project_sum,
+    relative_error,
+)
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -18,9 +27,9 @@ def randn(rng, r, c):
 
 class TestTensor2D:
     def test_shape_and_data_layout(self):
-        t = Tensor2D.from_rows([[1.0, 2.0], [3.0, 4.0]])
-        assert (t.rows, t.cols) == (2, 2)
-        assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
+        t = Tensor2D([[1.0, 2.0], [3.0, 4.0]])
+        assert t.shape == (2, 2) and repr(t) == "Tensor2D(2x2)"
+        assert t.array.reshape(-1).tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_immutable(self):
         t = Tensor2D.zeros(2, 2)
@@ -57,7 +66,7 @@ class TestMatmul:
 
         x = ad.leaf(a)
         y = ad.leaf(b)
-        ad.backward(ad.sum_all(ad.matmul(x, y)))
+        ad.backward(project_sum(ad.matmul(x, y), np.ones((3, 2))))
         for i, node in enumerate([x, y]):
             numeric = fd_gradient(objective, [a, b], i)
             assert relative_error(node.gradient().array, numeric) < 1e-6
@@ -87,64 +96,73 @@ class TestRowL2Normalize:
         check_op_gradients(lambda ls: ad.row_l2_normalize(ls[0]), [x], rng, tol=1e-6)
 
 
+def _masked_softmax(x, excluded, temperature):
+    return ad.masked_softmax_rows(ad.constant(x), excluded, temperature=temperature).array
+
+
+def _kernel_softmax(x):
+    buf = np.array(x, dtype=np.float64)
+    softmax_rows_inplace(buf)
+    return buf
+
+
 class TestSoftmaxRow:
     def test_uniform_row(self):
-        out = softmax_row(Tensor2D([[0.0, 0.0, 0.0]]), temperature=1.0)
-        np.testing.assert_allclose(out.array, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+        out = _kernel_softmax([[0.0, 0.0, 0.0]])
+        np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_masked_constant_row_any_shift(self):
         for c in (0.0, 5.0, -17.3):
-            out = softmax_row(
-                Tensor2D([[c, c, c]]), mask=np.array([0]), temperature=0.37
-            )
-            np.testing.assert_allclose(out.array, [[0.0, 0.5, 0.5]], atol=1e-15)
-            assert out.array[0, 0] == 0.0
+            out = _masked_softmax([[c, c, c]], np.array([0]), temperature=0.37)
+            np.testing.assert_allclose(out, [[0.0, 0.5, 0.5]], atol=1e-15)
+            assert out[0, 0] == 0.0
 
     def test_direct_summation_oracle(self):
-        # Frozen from a 40-digit evaluation of exp((x-max)/tau)/sum.
-        out = softmax_row(Tensor2D([[1.0, 2.0, 3.0]]), temperature=0.5)
+        # Frozen from a 40-digit evaluation of exp((x-max)/tau)/sum, tau = 0.5.
+        out = _kernel_softmax([[2.0, 4.0, 6.0]])
         expected = [
             0.015876239976466765,
             0.11731042782619837,
             0.8668133321973349,
         ]
-        np.testing.assert_allclose(out.array[0], expected, rtol=1e-15)
+        np.testing.assert_allclose(out[0], expected, rtol=1e-15)
 
     def test_rows_sum_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(9)
         x = randn(rng, 6, 6) * 3
-        out = softmax_row(Tensor2D(x), mask=np.arange(6), temperature=0.2)
-        np.testing.assert_allclose(out.array.sum(axis=1), np.ones(6), atol=1e-12)
-        shifted = softmax_row(
-            Tensor2D(x + rng.standard_normal((6, 1))), mask=np.arange(6), temperature=0.2
+        out = _masked_softmax(x, np.arange(6), temperature=0.2)
+        np.testing.assert_allclose(out.sum(axis=1), np.ones(6), atol=1e-12)
+        shifted = _masked_softmax(
+            x + rng.standard_normal((6, 1)), np.arange(6), temperature=0.2
         )
-        np.testing.assert_allclose(out.array, shifted.array, atol=1e-12)
+        np.testing.assert_allclose(out, shifted, atol=1e-12)
 
     def test_non_positive_temperature(self):
         with pytest.raises(ParameterError):
-            softmax_row(Tensor2D([[1.0, 2.0]]), temperature=0.0)
+            _masked_softmax([[1.0, 2.0]], np.array([0]), temperature=0.0)
 
     def test_extreme_temperature_does_not_overflow(self):
-        out = softmax_row(Tensor2D([[900.0, -900.0, 0.0]]), temperature=1e-3)
-        assert np.isfinite(out.array).all()
-        np.testing.assert_allclose(out.array[0, 0], 1.0, atol=1e-12)
+        out = _kernel_softmax(np.array([[900.0, -900.0, 0.0]]) / 1e-3)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out[0, 0], 1.0, atol=1e-12)
 
 
 class TestBackwardAccumulation:
     def test_shared_subexpression_sums_gradients(self):
-        # y = sum(x*x + x*x) via a shared node; oracle expands the DAG to a
+        # y = sum(x@x.T + x@x.T) via a shared node; oracle expands the DAG to a
         # tree with independent leaves holding the same value.
         v = np.array([[1.5, -2.0], [0.25, 3.0]])
+        ones = np.ones((2, 2))
         x = ad.leaf(v)
-        sq = ad.mul_elem(x, v)  # elementwise x*v with v constant = x^2 values
+        sq = ad.gram(x, 1.0)  # x @ x.T
         shared = ad.add(sq, sq)
-        ad.backward(ad.sum_all(shared))
+        ad.backward(project_sum(shared, ones))
         got = x.gradient().array
 
         x1 = ad.leaf(v)
         x2 = ad.leaf(v)
-        tree = ad.add(ad.mul_elem(x1, v), ad.mul_elem(x2, v))
-        ad.backward(ad.sum_all(tree))
+        tree = ad.add(ad.gram(x1, 1.0), ad.gram(x2, 1.0))
+        ad.backward(project_sum(tree, ones))
         expected = x1.gradient().array + x2.gradient().array
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
@@ -155,7 +173,7 @@ class TestBackwardAccumulation:
         frozen = ad.constant(randn(rng, 3, 2))
         hidden = ad.relu(ad.matmul(x, w))
         shared = ad.add(hidden, hidden)
-        root = ad.sum_all(ad.add(shared, frozen))
+        root = ad.mean(ad.add(shared, frozen))
         ad.backward(root)
         for node in (x, w):
             assert node.grad is not None and node.grad.shape == node.shape
@@ -171,7 +189,7 @@ class TestBackwardAccumulation:
 
         def build(ls):
             x = ls[0]
-            e = ad.exp(ad.scale(x, 0.3))
+            e = ad.row_l2_normalize(ad.scale(x, 0.3))
             return ad.add(ad.gram(e, 1.0), e)
 
         check_op_gradients(build, [a], rng, tol=1e-6)
@@ -414,10 +432,14 @@ class TestInPlaceKernelParity:
         g = randn(rng, n, n)
         with np.errstate(all="ignore"):
             for temperature in (0.2, 1.0):
-                node = ad.masked_softmax_rows(ad.leaf(a), excluded, temperature=temperature)
                 out, dx = _oracle_softmax(a, excluded, temperature, g)
+                buf = a / temperature
+                softmax_rows_inplace(buf, excluded)
+                assert_same_bits(buf, out)
+                if excluded is None:  # the autodiff op always excludes a column
+                    continue
+                node = ad.masked_softmax_rows(ad.leaf(a), excluded, temperature=temperature)
                 assert_same_bits(node.array, out)
-                assert_same_bits(softmax_row(a, excluded, temperature).array, out)
                 (got,) = _pullbacks(node, g)
                 assert_same_bits(got, dx)
             g_col = g[:, :1]
@@ -490,10 +512,11 @@ class TestSoftmaxCrossEntropyParity:
         assert lv.tobytes() == kept.tobytes()  # the logits are not written
 
 
-# Reference chains: the scaled Gram matrix and the one-positive InfoNCE term
-# as first built from separate nodes, with the transpose and pair-gather ops
-# they used.  The fused ops must match them bit for bit, in the value and in
-# the gradient that backward leaves on the input.
+# Reference chains: the scaled Gram matrix, the one-positive InfoNCE term and
+# the supervised contrastive term as first built from separate nodes, with the
+# transpose, pair-gather, difference, constant-product and row-sum ops they
+# used.  The fused ops must match them bit for bit, in the value and in the
+# gradient that backward leaves on the input.
 
 
 def _old_transpose(a):
@@ -515,6 +538,25 @@ def _old_take_pairs(a, partner):
     return ad.DiffNode(value, parents=[(a, pull)], op="take_pairs")
 
 
+def _old_sub(a, b):
+    return ad.add(a, ad.scale(b, -1.0))
+
+
+def _old_mul_elem(a, cv):
+    return ad.DiffNode(
+        Tensor2D._adopt(a.array * cv), parents=[(a, lambda g: g * cv)], op="mul_elem"
+    )
+
+
+def _old_row_sum(a):
+    cols = a.shape[1]
+    return ad.DiffNode(
+        Tensor2D._adopt(a.array.sum(axis=1, keepdims=True)),
+        parents=[(a, lambda g: np.repeat(g, cols, axis=1))],
+        op="row_sum",
+    )
+
+
 def _chain_gram(z, c):
     return ad.scale(ad.matmul(z, _old_transpose(z)), c)
 
@@ -522,7 +564,17 @@ def _chain_gram(z, c):
 def _chain_info_nce(z, partner, c):
     scaled = _chain_gram(z, c)
     lse = ad.logsumexp_row(scaled, excluded=np.arange(z.shape[0]))
-    return ad.sub(lse, _old_take_pairs(scaled, partner))
+    return _old_sub(lse, _old_take_pairs(scaled, partner))
+
+
+def _chain_sup_con(z, labels, c):
+    pos_mask = (labels[:, None] == labels[None, :]).astype(np.float64)
+    np.fill_diagonal(pos_mask, 0.0)
+    counts = pos_mask.sum(axis=1, keepdims=True)
+    scaled = ad.gram(z, c)
+    lse = ad.logsumexp_row(scaled, excluded=np.arange(z.shape[0]))
+    mean_pos = _old_mul_elem(_old_row_sum(_old_mul_elem(scaled, pos_mask)), 1.0 / counts)
+    return _old_sub(lse, mean_pos)
 
 
 def _value_and_input_gradient(build, z, g):
@@ -530,7 +582,7 @@ def _value_and_input_gradient(build, z, g):
     leaf when the output's upstream gradient is ``g``."""
     x = ad.leaf(z)
     out = build(x)
-    ad.backward(ad.sum_all(ad.mul_elem(out, g)))
+    ad.backward(project_sum(out, g))
     return out.array, x.grad
 
 
@@ -573,9 +625,58 @@ class TestFusedContrastiveParity:
                 for a, b in zip(got, want):
                     assert_same_bits(a, b)
 
+    @pytest.mark.parametrize("temperature", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sup_con_rows_matches_reference_chain(self, seed, n_classes, temperature):
+        rng = np.random.default_rng([seed, n_classes, int(temperature * 10)])
+        # Class 0 has two members; every other class has two to eight.
+        counts = [2] + [int(k) for k in rng.integers(2, 9, size=n_classes - 1)]
+        labels = rng.permutation(np.repeat(np.arange(n_classes), counts))
+        z = _embeddings(rng, labels.size, "unit")
+        g = randn(rng, labels.size, 1)
+        c = 1.0 / temperature
+        got = _value_and_input_gradient(lambda x: ad.sup_con_rows(x, labels, c), z, g)
+        want = _value_and_input_gradient(lambda x: _chain_sup_con(x, labels, c), z, g)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("op", ["info_nce_rows", "sup_con_rows"])
+    def test_fused_node_holds_one_square_array(self, op):
+        n = 6
+        z = ad.leaf(_embeddings(np.random.default_rng(5), n, "unit"))
+        second = np.array([1, 0, 3, 2, 5, 4]) if op == "info_nce_rows" else np.arange(n) % 2
+        node = getattr(ad, op)(z, second, 2.0)
+        square = [a for a in _arrays_held(node) if a.shape == (n, n)]
+        assert len(square) == 1
+
     def test_partner_shape_checked(self):
         with pytest.raises(DimensionError, match=r"shape \(3,\)"):
             ad.info_nce_rows(ad.leaf(np.eye(3)), np.array([1, 0]), 1.0)
+
+    def test_labels_shape_checked(self):
+        with pytest.raises(DimensionError, match=r"shape \(3,\)"):
+            ad.sup_con_rows(ad.leaf(np.eye(3)), np.array([1, 0]), 1.0)
+
+
+def _arrays_held(node):
+    """The distinct arrays a node keeps: its value, and every array its
+    pullbacks reach through their closures."""
+    held = {id(node.array): node.array}
+    stack = [pull for _, pull in node.parents]
+    seen = set()
+    while stack:
+        fn = stack.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                held[id(value)] = value
+            elif callable(value) and hasattr(value, "__closure__"):
+                stack.append(value)
+    return list(held.values())
 
 
 class TestClampedLogRowSum:
@@ -609,6 +710,7 @@ class TestValueOwnership:
             ad.matmul(x, ad.leaf(randn(rng, 3, 2))),
             ad.gram(x, 0.5),
             ad.info_nce_rows(x, np.array([1, 0, 3, 2]), 2.0),
+            ad.sup_con_rows(x, np.array([0, 1, 1, 0]), 2.0),
             ad.add(x, x),
             ad.scale(x, 2.0),
             ad.relu(x),
@@ -622,7 +724,6 @@ class TestValueOwnership:
             assert not node.array.flags.writeable, node.op
             with pytest.raises(ValueError):
                 node.array[0, 0] = 1.0
-        assert not softmax_row(sq.value).array.flags.writeable
 
     def test_tensor_and_leaf_copy_writable_input(self):
         a = np.ones((2, 3))
@@ -642,6 +743,7 @@ class TestValueOwnership:
             ad.clamped_log_row_sum(sq, 1e-300, -0.25),
             ad.gram(sq, 3.0),
             ad.info_nce_rows(sq, np.array([1, 0, 3, 2, 2]), 3.0),
+            ad.sup_con_rows(sq, np.array([0, 1, 0, 1, 1]), 3.0),
         ):
             g = randn(rng, *node.shape)
             kept = g.copy()
@@ -668,13 +770,8 @@ def test_finite_difference_suite(seed):
             [randn(rng, n, m), randn(rng, 1, m)],
         ),
         "scale": (lambda ls: ad.scale(ls[0], -2.5), [randn(rng, n, m)]),
-        "mul_elem": (
-            lambda ls: ad.mul_elem(ls[0], np.linspace(-1, 1, n * m).reshape(n, m)),
-            [randn(rng, n, m)],
-        ),
         # Inputs bounded away from the relu/clamp kinks.
         "relu": (lambda ls: ad.relu(ls[0]), [randn(rng, n, m) + np.sign(randn(rng, n, m)) * 0.2]),
-        "exp": (lambda ls: ad.exp(ls[0]), [randn(rng, n, m)]),
         "clamped_log_row_sum": (
             lambda ls: ad.clamped_log_row_sum(ls[0], 1e-300, -0.25),
             [np.abs(randn(rng, n, n)) + 0.5],
@@ -685,8 +782,6 @@ def test_finite_difference_suite(seed):
         ),
         "gram": (lambda ls: ad.gram(ls[0], -0.7), [randn(rng, n, m)]),
         "mean": (lambda ls: ad.mean(ls[0]), [randn(rng, n, m)]),
-        "sum_all": (lambda ls: ad.sum_all(ls[0]), [randn(rng, n, m)]),
-        "row_sum": (lambda ls: ad.row_sum(ls[0]), [randn(rng, n, m)]),
         "take_rows": (
             lambda ls: ad.take_rows(ls[0], np.array([3, 0, 3])),
             [randn(rng, n, m)],
@@ -695,6 +790,10 @@ def test_finite_difference_suite(seed):
             lambda ls: ad.info_nce_rows(ls[0], np.array([1, 0, 4, 4, 2]), 2.5),
             [randn(rng, n, n)],
         ),
+        "sup_con_rows": (
+            lambda ls: ad.sup_con_rows(ls[0], np.array([1, 0, 1, 0, 0]), 2.5),
+            [randn(rng, n, m)],
+        ),
         "row_l2_normalize": (
             lambda ls: ad.row_l2_normalize(ls[0]),
             [randn(rng, n, m) + 0.4],
@@ -702,10 +801,6 @@ def test_finite_difference_suite(seed):
         "masked_softmax_rows": (
             lambda ls: ad.masked_softmax_rows(ls[0], np.arange(n), temperature=0.4),
             [randn(rng, n, n)],
-        ),
-        "softmax_rows_unmasked": (
-            lambda ls: ad.masked_softmax_rows(ls[0], temperature=1.7),
-            [randn(rng, n, m)],
         ),
         "logsumexp_row": (
             lambda ls: ad.logsumexp_row(ls[0], np.arange(n)),
@@ -726,3 +821,58 @@ def test_finite_difference_suite(seed):
     }
     for name, (build, arrays) in cases.items():
         check_op_gradients(build, arrays, rng)
+
+
+# ---------------------------------------------------------------------------
+# only the ops the program calls
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tscl"
+
+#: Ops that no library code calls, each with the reason it stays.
+UNCALLED_OPS = {"logsumexp_row": "bench/tracing.py replays it by name"}
+
+
+def _public_ops() -> list[str]:
+    """Public functions of ``tscl.autodiff`` that map a node to a node."""
+    ops = []
+    for node in ast.parse((SRC / "autodiff.py").read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        first = node.args.args[0].annotation if node.args.args else None
+        if node.returns is not None and ast.unparse(node.returns) == "DiffNode" and (
+            first is not None and ast.unparse(first) == "DiffNode"
+        ):
+            ops.append(node.name)
+    return ops
+
+
+def _autodiff_names(tree: ast.AST) -> set[str]:
+    """Every ``ad.<name>`` or ``autodiff.<name>`` reference in ``tree``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("ad", "autodiff")
+    }
+
+
+def test_every_op_is_fd_checked_and_called_by_the_library():
+    ops = _public_ops()
+    assert {"matmul", "conv1d", "sup_con_rows", "logsumexp_row"} <= set(ops)
+    acceptance = ast.parse(
+        (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
+    )
+    (op_cases,) = [
+        node for node in ast.walk(acceptance)
+        if isinstance(node, ast.FunctionDef) and node.name == "_op_cases"
+    ]
+    checked = _autodiff_names(op_cases)
+    called = set().union(*(
+        _autodiff_names(ast.parse(module.read_text(encoding="utf-8")))
+        for module in SRC.glob("*.py")
+        if module.name != "autodiff.py"
+    ))
+    assert [op for op in ops if op not in checked] == []
+    assert [op for op in ops if op not in called and op not in UNCALLED_OPS] == []
+    assert [op for op in UNCALLED_OPS if op not in ops or op in called] == []

@@ -10,6 +10,7 @@ out of that field's row, with the reason next to it.
 
 import ast
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,33 @@ def test_empty_data_file_is_rejected_before_training(workspace, tmp_path, capsys
     assert not out.exists()  # no seed was trained
 
 
+#: Bad data lines, by name: each edits the fields (label first) of one row.
+BAD_DATA_LINES = {
+    "field_count": lambda fields: fields[:-1],
+    "label_too_large": lambda fields: ["2"] + fields[1:],  # the data holds 2 classes
+    "negative_label": lambda fields: ["-1"] + fields[1:],
+    "unparsable": lambda fields: fields[:3] + ["abc"] + fields[4:],
+    "nan": lambda fields: fields[:3] + ["nan"] + fields[4:],
+    "inf": lambda fields: fields[:3] + ["inf"] + fields[4:],
+}
+
+
+@pytest.mark.parametrize("which", ["train", "test"])
+@pytest.mark.parametrize("name", sorted(BAD_DATA_LINES))
+def test_data_file_line_rejects_bad_value(workspace, tmp_path, capsys, name, which):
+    lines = (workspace["root"] / "synth" / f"{which}.csv").read_text().splitlines()
+    lines[2] = ",".join(BAD_DATA_LINES[name](lines[2].split(",")))
+    path = tmp_path / f"{which}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = run_cli(
+        ["probe", "--config", str(workspace["config"]), "--set", f"data.{which}_path={path}",
+         "--set", "data.n_classes=2", "--out", str(out)]
+    )
+    assert_rejected(code, capsys.readouterr().err, f"{path}: line 3: ")
+    assert not out.exists()  # nothing was trained
+
+
 @pytest.mark.parametrize("name", ["config", "case"])
 def test_file_that_is_not_utf8_names_itself(workspace, capsys, name):
     path = workspace["root"] / f"{name}_latin1.json"
@@ -302,7 +330,8 @@ def test_checkpoint_that_overflows_the_encoder_names_itself(workspace, tmp_path,
         payload["arrays"][name]["data"][0] = value
     ckpt = tmp_path / "params.json"
     ckpt.write_text(json.dumps(payload))
-    with np.errstate(all="ignore"):  # the overflow is the point of the test
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run_cli(
             ["probe", "--config", str(workspace["config"]), "--params", str(ckpt),
              "--out", str(tmp_path / "out")]
@@ -310,6 +339,7 @@ def test_checkpoint_that_overflows_the_encoder_names_itself(workspace, tmp_path,
     err = capsys.readouterr().err
     assert_rejected(code, err, f"{ckpt}: ")
     assert "non-finite embeddings" in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from tscl.bounds import (
     bound_sc_from_sims,
     bound_uc,
     bound_uc_from_sims,
-    check_equality_conditions,
     equality_conditions_from_sims,
     fuzz_bounds,
     imbalance_gap,
@@ -241,7 +240,7 @@ class TestEqualityConditions:
     def test_identical_embeddings_satisfy_both(self):
         z = np.tile([0.6, 0.8], (6, 1))
         idx = two_view_indexing(np.array([0, 0, 1]))
-        eq = check_equality_conditions(z, idx, class_index=0)
+        eq = equality_conditions_from_sims(z @ z.T, idx, class_index=0)
         assert eq.both
         assert eq.q1_max_dev == 0.0 and eq.q2_max_dev == 0.0
 
@@ -298,7 +297,7 @@ class TestEqualityConditions:
     def test_clustered_simplex_configuration_saturates_both_bounds(self):
         z, idx = clustered_batch(3, 4)
         for y in range(3):
-            eq = check_equality_conditions(z, idx, class_index=y, tol=1e-12)
+            eq = equality_conditions_from_sims(z @ z.T, idx, class_index=y, tol=1e-12)
             assert eq.both
             sc = bound_sc(z, idx, class_index=y, temperature=1.0)
             uc = bound_uc(z, idx, class_index=y, temperature=1.0)

@@ -91,12 +91,46 @@ def test_verify_bounds_constructed_case_reports_tight_slack(workspace):
     assert all(r["q1_satisfied"] and r["q2_satisfied"] for r in report["case"]["bounds"])
 
 
-def test_verify_bounds_invalid_range_is_usage_error(workspace, capsys):
+def _assert_one_error_line(code: int, err: str) -> None:
+    assert code == 1, err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1, err
+
+
+# Only small values: a huge size would allocate before the sweep rejects it.
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        pytest.param(flag, value, id=f"{flag}={value}")
+        for flag, smallest in (
+            ("--configurations", 1),
+            ("--max-batch", 4),
+            ("--max-dim", 1),
+            ("--max-classes", 2),
+        )
+        for value in (smallest - 1, -1)
+    ],
+)
+def test_verify_bounds_invalid_range_is_usage_error(workspace, capsys, flag, value):
     code = run_cli(
-        ["verify-bounds", "--max-dim", "0", "--out", str(workspace["root"] / "vb_bad")]
+        ["verify-bounds", flag, str(value), "--out", str(workspace["root"] / "vb_bad")]
     )
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    _assert_one_error_line(code, capsys.readouterr().err)
+
+
+def test_verify_bounds_reads_the_case_before_the_sweep(workspace, capsys, monkeypatch):
+    def sweep(**_):
+        raise AssertionError("the sweep ran before the case file was read")
+
+    monkeypatch.setattr("tscl.cli.fuzz_bounds", sweep)
+    case_path = workspace["root"] / "case_first.json"
+    case_path.write_text(json.dumps({"values": 1}))
+    code = run_cli(
+        ["verify-bounds", "--case", str(case_path), "--out", str(workspace["root"] / "vb_first")]
+    )
+    err = capsys.readouterr().err
+    _assert_one_error_line(code, err)
+    assert str(case_path) in err
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf"])

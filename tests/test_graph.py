@@ -10,7 +10,7 @@ from tscl import autodiff as ad
 from tscl.errors import BatchTooSmallError, ParameterError
 from tscl.graph import build_similarity
 
-from gradcheck import fd_gradient, relative_error
+from gradcheck import fd_gradient, project_sum, relative_error
 
 
 def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -83,7 +83,6 @@ def test_gradient_flows_through_similarity(seed):
 
     h = ad.leaf(x)
     sim = build_similarity(h, temperature=0.3)
-    out = ad.sum_all(ad.mul_elem(sim, proj))
-    ad.backward(out)
+    ad.backward(project_sum(sim, proj))
     numeric = fd_gradient(scalar, [x], which=0)
     assert relative_error(h.gradient().array, numeric) < 1e-6

@@ -97,7 +97,11 @@ def test_projection_parameter_counts_match_across_heads(balanced_data):
         model_config_for(small_config(variant="gcn_id"), balanced_data),
         np.random.default_rng(0),
     )
-    assert mlp.projection.parameter_count == gcn.projection.parameter_count
+    sizes = [
+        sum(node.array.size for node in params.projection.named().values())
+        for params in (mlp, gcn)
+    ]
+    assert sizes[0] == sizes[1]
 
 
 def test_config_validation():

@@ -81,11 +81,6 @@ def test_predicted_only_class_scores_zero_without_flag():
     assert phantom.precision == 0.0
 
 
-def test_f1_of_accessor():
-    report = evaluate(Y_TRUE, Y_PRED, 3)
-    assert report.f1_of(1) == report.per_class[1].f1
-
-
 def test_length_mismatch_rejected():
     with pytest.raises(DimensionError, match="true labels"):
         evaluate(np.array([0, 1]), np.array([0]), 2)
