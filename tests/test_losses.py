@@ -354,6 +354,10 @@ def _temperature_entry_points():
     idx = two_view_indexing(np.array([0, 1, 1]))
     sims = z.array @ z.array.T
     return {
+        # Row softmax of a plain matrix: a constant, so no gradient is kept.
+        "softmax_row": lambda t: ad.masked_softmax_rows(
+            ad.constant(sims), excluded=np.arange(6), temperature=t
+        ),
         "masked_softmax_rows": lambda t: ad.masked_softmax_rows(
             ad.leaf(sims), excluded=np.arange(6), temperature=t
         ),
@@ -365,7 +369,7 @@ def _temperature_entry_points():
 
 @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
 @pytest.mark.parametrize(
-    "entry", ["masked_softmax_rows", "build_similarity", "loss_id", "loss_sc"]
+    "entry", ["softmax_row", "masked_softmax_rows", "build_similarity", "loss_id", "loss_sc"]
 )
 def test_bad_temperature_is_rejected_by_every_entry_point(entry, temperature):
     call = _temperature_entry_points()[entry]
