@@ -172,11 +172,11 @@ def scale(a: DiffNode, c: float) -> DiffNode:
 
 def relu(a: DiffNode) -> DiffNode:
     mask = a.array > 0
-    return DiffNode(
-        Tensor2D._adopt(np.where(mask, a.array, 0.0)),
-        parents=[(a, lambda g: g * mask)],
-        op="relu",
-    )
+    # fmax maps NaN to 0 like np.where(mask, a, 0.0) and, unlike it, needs no
+    # branch per entry; adding 0.0 turns a -0.0 it may keep into +0.0.
+    out = np.fmax(a.array, 0.0)
+    out += 0.0
+    return DiffNode(Tensor2D._adopt(out), parents=[(a, lambda g: g * mask)], op="relu")
 
 
 def clamped_log_row_sum(a: DiffNode, floor: float, c: float) -> DiffNode:
@@ -255,7 +255,7 @@ def row_l2_normalize(a: DiffNode) -> DiffNode:
     return DiffNode(Tensor2D._adopt(out), parents=[(a, pull)], op="row_l2_normalize")
 
 
-def masked_softmax_rows(a: DiffNode, excluded: np.ndarray, temperature: float = 1.0) -> DiffNode:
+def masked_softmax_rows(a: DiffNode, excluded: np.ndarray, temperature: float) -> DiffNode:
     """Differentiable row softmax of a/temperature with one excluded column
     per row (exact zeros there)."""
     check_temperature(temperature)
@@ -414,10 +414,18 @@ def cross_entropy_with_logits(logits: DiffNode, labels) -> DiffNode:
 
 
 # ---------------------------------------------------------------------------
-# 1-D convolution / pooling over channel-major flattened series
+# 1-D convolution / pooling over time-major flattened series
 #
-# A batch of n series with c channels of length L is a (n, c*L) matrix whose
-# row layout is channel-major: entry [i, ch*L + t].
+# Inside the encoder a batch of n series with c channels of length L is a
+# (n, L*c) matrix whose row layout is time-major: entry [i, t*c + ch].  The
+# conv weights, checkpoints, data files and the encoder's output stay
+# channel-major (entry [i, ch*L + t]); ``channel_major`` converts a
+# time-major activation back.
+
+#: Bytes of the conv input-gradient patches scattered per block of samples.
+#: On a 2 MiB-L2 Xeon, 0.5-1 MiB blocks halved the scatter's time at the
+#: benchmark's shapes; 2 MiB blocks gained little.
+_COL2IM_BLOCK_BYTES = 1 << 20
 
 
 def conv1d(
@@ -427,11 +435,13 @@ def conv1d(
     channels: int,
     length: int,
 ) -> DiffNode:
-    """Stride-1, same-padded 1-D convolution.
+    """Stride-1, same-padded 1-D convolution of time-major series.
 
-    ``x`` is (n, channels*length); ``w`` is (c_out, channels*k) with the same
-    channel-major layout; ``b`` is a (1, c_out) bias added to every
-    timestep of the matching output channel.  Output is (n, c_out*length).
+    ``x`` is (n, length*channels), time-major; ``w`` is (c_out, channels*k)
+    with channel-major columns (column ``ch*k + j`` multiplies channel ``ch``
+    at offset ``j - (k - 1) // 2``); ``b`` is a (1, c_out) bias added to every
+    timestep of the matching output channel.  Output is (n, length*c_out),
+    time-major: row ``(i, t)`` of the patch product is already its layout.
     """
     n, width = x.shape
     if width != channels * length:
@@ -449,40 +459,43 @@ def conv1d(
 
     pad_left = (k - 1) // 2
     wv = w.array
-    x3 = x.array.reshape(n, channels, length)
-    padded = np.zeros((n, channels, length + k - 1))
-    padded[:, :, pad_left : pad_left + length] = x3
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=2)
-    # (n, channels, L, k) -> (n, L, channels, k) -> (n*L, channels*k)
-    patches = windows.transpose(0, 2, 1, 3).reshape(n * length, channels * k)
-    out2 = patches @ wv.T  # (n*L, c_out)
-    out = out2.reshape(n, length, c_out).transpose(0, 2, 1).reshape(n, c_out * length)
-    out = out + np.repeat(b.array[0], length)[None, :]
-
-    def reshape_grad(g: np.ndarray) -> np.ndarray:
-        return g.reshape(n, c_out, length).transpose(0, 2, 1).reshape(n * length, c_out)
+    padded = np.zeros((n, length + k - 1, channels))
+    padded[:, pad_left : pad_left + length] = x.array.reshape(n, length, channels)
+    # (n, L, channels, k) -> (n*L, channels*k): the weight's column order
+    patches = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1).reshape(
+        n * length, channels * k
+    )
+    out = patches @ wv.T  # (n*L, c_out)
+    out += b.array
 
     def pull_x(g: np.ndarray) -> np.ndarray:
-        d4 = (reshape_grad(g) @ wv).reshape(n, length, channels, k).transpose(0, 2, 3, 1)
-        d4 = np.ascontiguousarray(d4)  # (n, channels, k, L): contiguous slice reads
+        d = (g.reshape(n * length, c_out) @ wv).reshape(n, length, channels, k)
         dpadded = np.zeros_like(padded)
-        for j in range(k - 1, -1, -1):  # descending j: np.add.at's summation order
-            dpadded[:, :, j : j + length] += d4[:, :, j]
-        return dpadded[:, :, pad_left : pad_left + length].reshape(n, channels * length)
+        # The k reads of d[..., j] are strided; a block of samples holding
+        # about 1 MiB of d stays in cache across them.
+        step = max(1, _COL2IM_BLOCK_BYTES // max(1, d.strides[0]))  # strides[0]: bytes a sample
+        for s in range(0, n, step):
+            db, pb = d[s : s + step], dpadded[s : s + step]
+            for j in range(k - 1, -1, -1):  # descending j: np.add.at's summation order
+                pb[:, j : j + length] += db[..., j]
+        return dpadded[:, pad_left : pad_left + length].reshape(n, length * channels)
 
     def pull_w(g: np.ndarray) -> np.ndarray:
-        return reshape_grad(g).T @ patches
+        return g.reshape(n * length, c_out).T @ patches
 
     def pull_b(g: np.ndarray) -> np.ndarray:
-        return reshape_grad(g).sum(axis=0, keepdims=True)
+        return g.reshape(n * length, c_out).sum(axis=0, keepdims=True)
 
     return DiffNode(
-        Tensor2D._adopt(out), parents=[(x, pull_x), (w, pull_w), (b, pull_b)], op="conv1d"
+        Tensor2D._adopt(out.reshape(n, length * c_out)),
+        parents=[(x, pull_x), (w, pull_w), (b, pull_b)],
+        op="conv1d",
     )
 
 
 def max_pool1d(x: DiffNode, channels: int, length: int, width: int) -> DiffNode:
-    """Non-overlapping max pooling along time; the last window may be short.
+    """Non-overlapping max pooling along time of time-major series; the last
+    window may be short.  Output is (n, ceil(length/width)*channels), time-major.
 
     Ties resolve to the earliest timestep, so the backward scatter is
     deterministic; a NaN in a window wins, as under ``argmax``.
@@ -496,27 +509,52 @@ def max_pool1d(x: DiffNode, channels: int, length: int, width: int) -> DiffNode:
         )
     out_len = math.ceil(length / width)
     span = out_len * width
-    x3 = x.array.reshape(n, channels, length)
+    x3 = x.array.reshape(n, length, channels)
     if span != length:
-        x3 = np.pad(x3, ((0, 0), (0, 0), (0, span - length)), constant_values=-np.inf)
-    windows = x3.reshape(n, channels, out_len, width)
-    best = windows[..., 0]
-    arg = np.zeros((n, channels, out_len), dtype=np.intp)
+        tail = np.full((n, span - length, channels), -np.inf)
+        x3 = np.concatenate([x3, tail], axis=1)
+    windows = x3.reshape(n * out_len, width, channels)
+    best = windows[:, 0]
+    arg = np.zeros((n * out_len, channels), dtype=np.intp)
     for offset in range(1, width):
-        cand = windows[..., offset]
-        # strict ">" keeps ties on the earliest step; the first NaN wins, as in argmax
-        take = (cand > best) | (np.isnan(cand) & ~np.isnan(best))
-        best = np.where(take, cand, best)
-        arg = np.where(take, offset, arg)
+        cand = windows[:, offset]
+        # strict ">" keeps ties on the earliest step; the first NaN wins, as in
+        # argmax: take where not cand <= best, unless best is already NaN
+        take = np.less_equal(cand, best)
+        np.logical_not(take, out=take)
+        take &= best == best
+        np.maximum(arg, take * offset, out=arg)  # offsets ascend: a later take wins
+        if offset + 1 < width:
+            best = np.maximum(best, cand)  # only compared, never output: keeps a NaN
+    # flat index of each window's winner in x3
+    flat = arg * channels
+    flat += np.arange(n * span * channels).reshape(n * out_len, width, channels)[:, 0]
+    flat = flat.reshape(-1)
 
     def pull(g: np.ndarray) -> np.ndarray:
-        flat = np.arange(n * channels * out_len) * width + arg.reshape(-1)
-        dx = np.zeros(n * channels * span)
-        dx[flat] += g.reshape(-1)
-        return dx.reshape(n, channels, span)[:, :, :length].reshape(n, channels * length)
+        dx = np.zeros(n * span * channels)
+        dx[flat] = g.reshape(-1) + 0.0  # -0.0 becomes +0.0, as under += into zeros
+        dx = dx.reshape(n, span * channels)[:, : length * channels]
+        return np.ascontiguousarray(dx)
 
     return DiffNode(
-        Tensor2D._adopt(best.reshape(n, channels * out_len)),
+        Tensor2D._adopt(np.take(x3.reshape(-1), flat).reshape(n, out_len * channels)),
         parents=[(x, pull)],
         op="max_pool1d",
     )
+
+
+def channel_major(x: DiffNode, channels: int, length: int) -> DiffNode:
+    """Reorder time-major rows (entry [i, t*channels + ch]) to channel-major
+    (entry [i, ch*length + t])."""
+    n, total = x.shape
+    if total != channels * length:
+        raise DimensionError(
+            f"channel_major input width {total} != channels*length = {channels}*{length}"
+        )
+
+    def pull(g: np.ndarray) -> np.ndarray:
+        return g.reshape(n, channels, length).transpose(0, 2, 1).reshape(n, total)
+
+    out = x.array.reshape(n, length, channels).transpose(0, 2, 1).reshape(n, total)
+    return DiffNode(Tensor2D._adopt(out), parents=[(x, pull)], op="channel_major")

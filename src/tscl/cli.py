@@ -332,8 +332,20 @@ def _evaluate_case(case_path: str) -> dict:
     }
 
 
+#: Upper bounds of ``verify-bounds --max-batch`` and ``--max-dim``.  The sweep
+#: builds n x n and n x dim arrays, so the sizes are checked before it runs.
+MAX_FUZZ_BATCH = 1024
+MAX_FUZZ_DIM = 1024
+
+
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     started = time.time()
+    for flag, value, limit in (
+        ("--max-batch", args.max_batch, MAX_FUZZ_BATCH),
+        ("--max-dim", args.max_dim, MAX_FUZZ_DIM),
+    ):
+        if value > limit:
+            raise ParameterError(f"{flag} must be at most {limit}, got {value}")
     case_report = _evaluate_case(args.case) if args.case else None  # fails before the sweep
     out_dir = _output_dir(args, "verify-bounds")
     taus = args.tau or list(FUZZ_TEMPERATURES)
@@ -439,6 +451,8 @@ def _run_one_seed(
 
 def _cmd_pretrain(args: argparse.Namespace) -> int:
     started = time.time()
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     doc, config, probe_epochs, probe_lr, train, test = _training_inputs(args)
     out_dir = _output_dir(args, "pretrain")
 
@@ -644,8 +658,13 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--configurations", type=int, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-batch", type=int, default=16, help="max batch size (pairs x2)")
-    p.add_argument("--max-dim", type=int, default=8, help="max embedding dimension")
+    p.add_argument(
+        "--max-batch", type=int, default=16,
+        help=f"max batch size (pairs x2), at most {MAX_FUZZ_BATCH}",
+    )
+    p.add_argument(
+        "--max-dim", type=int, default=8, help=f"max embedding dimension, at most {MAX_FUZZ_DIM}"
+    )
     p.add_argument("--max-classes", type=int, default=4)
     p.add_argument(
         "--tau", type=float, action="append", default=None,

@@ -19,7 +19,7 @@ from tscl import autodiff as ad
 from tscl.augment import TimeSeriesBatch
 from tscl.errors import DimensionError, InvalidGraphError, ParameterError, read_json_object
 from tscl.graph import check_adjacency
-from tscl.tensor import Tensor2D
+from tscl.tensor import Tensor2D, as_array
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class EncoderParams:
-    """Three conv-relu-pool blocks followed by a linear map to embed_dim."""
+    """Three conv-pool-relu blocks followed by a linear map to embed_dim."""
 
     conv_weights: tuple[ad.DiffNode, ...]
     conv_biases: tuple[ad.DiffNode, ...]
@@ -197,30 +197,38 @@ def encode(
     params: EncoderParams,
     config: ModelConfig,
 ) -> ad.DiffNode:
-    """Embed a batch: (conv -> relu -> pool) x3, then one linear layer.
+    """Embed a batch: (conv -> pool -> relu) x3, then one linear layer.
+
+    ReLU after the window max gives the values of ReLU before it on finite
+    activations.  The input rows are channel-major; the activations between
+    the layers are time-major (see ``autodiff.conv1d``).  The weights keep
+    their channel-major layout, and ``autodiff.channel_major`` reorders the
+    last activation before the linear layer, so the linear weight and the
+    output are those of a channel-major encoder.
 
     Output is (n, embed_dim) and NOT unit-normalized; downstream users
     normalize where cosine geometry is required.
     """
-    node = ad.constant(x.values if isinstance(x, TimeSeriesBatch) else x)
-    width = config.in_channels * config.length
-    if node.shape[1] != width:
-        raise DimensionError(
-            f"encoder expects rows of width {width} "
-            f"(channels {config.in_channels} x length {config.length}), "
-            f"got {node.shape[1]}"
-        )
+    values = as_array(x.values if isinstance(x, TimeSeriesBatch) else x)
+    n, width = values.shape
     channels = config.in_channels
     length = config.length
-    cur = node
+    if width != channels * length:
+        raise DimensionError(
+            f"encoder expects rows of width {channels * length} "
+            f"(channels {channels} x length {length}), got {width}"
+        )
+    # Time-major inside the encoder: entry [i, t*channels + ch].
+    cur = ad.constant(values.reshape(n, channels, length).transpose(0, 2, 1).reshape(n, width))
     for w, b, c_out in zip(
         params.conv_weights, params.conv_biases, config.channel_plan
     ):
         cur = ad.conv1d(cur, w, b, channels=channels, length=length)
-        cur = ad.relu(cur)
         cur = ad.max_pool1d(cur, channels=c_out, length=length, width=config.pool_width)
+        cur = ad.relu(cur)  # on half the entries of the conv output
         channels = c_out
         length = math.ceil(length / config.pool_width)
+    cur = ad.channel_major(cur, channels=channels, length=length)
     return ad.add(ad.matmul(cur, params.linear_weight), params.linear_bias)
 
 

@@ -160,13 +160,16 @@ def test_criterion_3_imbalance_gap_formula_and_ordering():
 # Criterion 4: finite-difference checks for every operation and every loss
 
 
-def _separated_pool_input(rng: np.random.Generator, rows: int, cols: int, width: int):
-    """Random matrix whose pooling windows hold well-separated values, so a
-    finite-difference step cannot flip which entry is the maximum."""
+def _separated_pool_input(
+    rng: np.random.Generator, rows: int, channels: int, length: int, width: int
+):
+    """Random time-major matrix (entry [i, t*channels + ch]) whose pooling
+    windows hold well-separated values, so a finite-difference step cannot
+    flip which entry is the maximum."""
     while True:
-        x = rng.standard_normal((rows, cols))
-        windows = np.sort(x.reshape(rows, cols // width, width), axis=2)
-        if np.min(windows[..., -1] - windows[..., -2]) > 0.05:
+        x = rng.standard_normal((rows, length * channels))
+        windows = np.sort(x.reshape(rows, length // width, width, channels), axis=2)
+        if np.min(windows[:, :, -1] - windows[:, :, -2]) > 0.05:
             return x
 
 
@@ -184,7 +187,7 @@ def _op_cases(rng: np.random.Generator):
     positive = np.abs(a34) + 0.5
     below_floor = positive[:, :3].copy()
     below_floor[0, 2] = -1.0  # far below the floor: its gradient is 0
-    pool_in = _separated_pool_input(rng, 3, 2 * 8, 2)
+    pool_in = _separated_pool_input(rng, 3, 2, 8, 2)
     conv_x = rng.standard_normal((3, 2 * 8))
     conv_w = rng.standard_normal((4, 2 * 3))
     conv_b = rng.standard_normal((1, 4))
@@ -250,6 +253,11 @@ def _op_cases(rng: np.random.Generator):
             "max_pool1d",
             [pool_in],
             lambda L: ad.max_pool1d(L[0], channels=2, length=8, width=2),
+        ),
+        (
+            "channel_major",
+            [conv_x],
+            lambda L: ad.channel_major(L[0], channels=2, length=8),
         ),
     ]
 

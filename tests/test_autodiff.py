@@ -8,6 +8,7 @@ import pytest
 
 from tscl import autodiff as ad
 from tscl.errors import DegenerateInputError, DimensionError, ParameterError
+from tscl.model import ModelConfig, encode, init_model
 from tscl.tensor import Tensor2D, softmax_rows_inplace
 
 from gradcheck import (
@@ -199,6 +200,23 @@ class TestBackwardAccumulation:
             ad.backward(ad.leaf(np.zeros((2, 2))))
 
 
+def _time_major(a, channels, length):
+    """Channel-major rows (entry [i, ch*length + t]) in the kernels' time-major
+    layout (entry [i, t*channels + ch])."""
+    n = a.shape[0]
+    return np.ascontiguousarray(a.reshape(n, channels, length).transpose(0, 2, 1)).reshape(
+        n, length * channels
+    )
+
+
+def _channel_major(a, channels, length):
+    """Time-major rows back in channel-major layout."""
+    n = a.shape[0]
+    return np.ascontiguousarray(a.reshape(n, length, channels).transpose(0, 2, 1)).reshape(
+        n, channels * length
+    )
+
+
 class TestConvAndPool:
     def test_conv_matches_direct_correlation(self):
         rng = np.random.default_rng(2)
@@ -206,7 +224,9 @@ class TestConvAndPool:
         x = randn(rng, n, c_in * L)
         w = randn(rng, c_out, c_in * k)
         b = randn(rng, 1, c_out)
-        out = ad.conv1d(ad.constant(x), ad.constant(w), ad.constant(b), c_in, L).array
+        out = ad.conv1d(
+            ad.constant(_time_major(x, c_in, L)), ad.constant(w), ad.constant(b), c_in, L
+        ).array
 
         pad = (k - 1) // 2
         x3 = x.reshape(n, c_in, L)
@@ -222,7 +242,16 @@ class TestConvAndPool:
                             if 0 <= src < L:
                                 acc += x3[i, c, src] * w3[o, c, j]
                     expected[i, o, t] = acc
-        np.testing.assert_allclose(out, expected.reshape(n, c_out * L), atol=1e-12)
+        np.testing.assert_allclose(
+            _channel_major(out, c_out, L), expected.reshape(n, c_out * L), atol=1e-12
+        )
+
+    def test_layout_round_trip(self):
+        x = np.arange(12.0).reshape(2, 6)  # 2 channels of length 3
+        tm = _time_major(x, 2, 3)
+        np.testing.assert_array_equal(tm[0], [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
+        np.testing.assert_array_equal(ad.channel_major(ad.constant(tm), 2, 3).array, x)
+        np.testing.assert_array_equal(_channel_major(tm, 2, 3), x)
 
     def test_pool_values_and_ragged_tail(self):
         x = np.array([[1.0, 5.0, 2.0, 4.0, 3.0]])
@@ -241,9 +270,10 @@ class TestConvAndPool:
         )
 
 
-# Reference kernels: conv1d and max_pool1d as first written, with an
-# np.add.at scatter and per-window loops.  The fast kernels must match them
-# bit for bit, forward and in every pullback.
+# Reference kernels: conv1d and max_pool1d as first written, over
+# channel-major rows, with an np.add.at scatter and per-window loops.  The
+# time-major kernels must match them bit for bit, forward and in every
+# pullback, once inputs, outputs and gradients are permuted between layouts.
 
 
 def _oracle_conv1d(x, w, b, channels, length, g):
@@ -304,6 +334,7 @@ class TestKernelParity:
             (2, 3, 3, 2, 8),  # length < k
             (1, 1, 16, 5, 8),
             (1, 2, 5, 3, 3),
+            (40, 16, 32, 4, 8),  # the input-gradient scatter runs in two sample blocks
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1])
@@ -313,11 +344,23 @@ class TestKernelParity:
         w = randn(rng, c_out, channels * k)
         b = randn(rng, 1, c_out)
         g = randn(rng, n, c_out * length)
-        node = ad.conv1d(ad.leaf(x), ad.leaf(w), ad.leaf(b), channels, length)
-        expected = _oracle_conv1d(x, w, b, channels, length, g)
-        actual = [node.array, *_pullbacks(node, g)]
-        for got, want in zip(actual, expected):
-            np.testing.assert_array_equal(got, want)
+        node = ad.conv1d(
+            ad.leaf(_time_major(x, channels, length)), ad.leaf(w), ad.leaf(b), channels, length
+        )
+        out, dx, dw, db = _oracle_conv1d(x, w, b, channels, length, g)
+        got_dx, got_dw, got_db = _pullbacks(node, _time_major(g, c_out, length))
+        assert_same_bits(_channel_major(node.array, c_out, length), out)
+        assert_same_bits(_channel_major(got_dx, channels, length), dx)
+        assert_same_bits(got_dw, dw)
+        if n > 1:
+            assert_same_bits(got_db, db)
+        else:
+            # At one row the oracle's transposed gradient is a strided view,
+            # which NumPy sums pairwise; the kernel adds the rows in order, as
+            # the oracle does at every n >= 2.  Training never pulls back
+            # through a one-row batch: its two views stack at least two rows.
+            np.testing.assert_allclose(got_db, db, rtol=1e-14)
+            assert_same_bits(got_db, g.reshape(c_out, length).T.copy().sum(axis=0, keepdims=True))
 
     @pytest.mark.parametrize(
         "n, channels, length, width",
@@ -339,11 +382,22 @@ class TestKernelParity:
             x = np.round(x * 2.0) / 2.0
         out_len = -(-length // width)
         g = randn(rng, n, channels * out_len)
-        node = ad.max_pool1d(ad.leaf(x), channels, length, width)
-        expected = _oracle_max_pool1d(x, channels, length, width, g)
-        actual = [node.array, *_pullbacks(node, g)]
-        for got, want in zip(actual, expected):
-            np.testing.assert_array_equal(got, want)
+        if ties:  # and upstream zeros of both signs
+            g = np.round(g * 2.0) / 2.0
+        node = ad.max_pool1d(ad.leaf(_time_major(x, channels, length)), channels, length, width)
+        out, dx = _oracle_max_pool1d(x, channels, length, width, g)
+        (got_dx,) = _pullbacks(node, _time_major(g, channels, out_len))
+        assert_same_bits(_channel_major(node.array, channels, out_len), out)
+        assert_same_bits(_channel_major(got_dx, channels, length), dx)
+
+    @pytest.mark.parametrize("size", [1, 9, 16])  # NumPy's scalar tail and vector body
+    def test_relu_bit_identical(self, size):
+        special = [-0.0, 0.0, np.nan, -np.inf, np.inf, -1.5, 2.5, 5e-324, -5e-324]
+        x = np.resize(np.array(special), (1, size))
+        g = np.resize(np.array([-1.0, -0.0, 2.0]), (1, size))
+        node = ad.relu(ad.leaf(x))
+        assert_same_bits(node.array, np.where(x > 0, x, 0.0))  # relu as first written
+        assert_same_bits(_pullbacks(node, g)[0], g * (x > 0))
 
     def test_tied_maxima_route_gradient_to_earliest_step(self):
         x = np.array([[2.0, 2.0, 1.0, -1.0, -1.0, -1.0]])
@@ -367,6 +421,65 @@ class TestKernelParity:
         np.testing.assert_array_equal(node.array, [[np.nan, 3.0]])
         (dx,) = _pullbacks(node, np.array([[5.0, 7.0]]))
         np.testing.assert_array_equal(dx, [[0.0, 5.0, 7.0, 0.0]])
+
+
+def _oracle_encode(x, values, config, upstream):
+    """The encoder composed from the channel-major oracles: (conv -> relu ->
+    pool) per block, then the linear layer.  Returns the output and, for
+    upstream gradient ``upstream``, the gradient of every encoder parameter."""
+    n = x.shape[0]
+    blocks = []
+    cur, channels, length = x, config.in_channels, config.length
+    for i, c_out in enumerate(config.channel_plan):
+        w, b = values[f"encoder.conv{i}.weight"], values[f"encoder.conv{i}.bias"]
+        conv = _oracle_conv1d(cur, w, b, channels, length, np.zeros((n, c_out * length)))[0]
+        mask = conv > 0
+        relu = np.where(mask, conv, 0.0)
+        out_len = -(-length // config.pool_width)
+        pooled, _ = _oracle_max_pool1d(
+            relu, c_out, length, config.pool_width, np.zeros((n, c_out * out_len))
+        )
+        blocks.append((i, cur, channels, length, mask, relu, c_out))
+        cur, channels, length = pooled, c_out, out_len
+    lw, lb = values["encoder.linear.weight"], values["encoder.linear.bias"]
+    grads = {
+        "encoder.linear.weight": cur.T @ upstream,
+        "encoder.linear.bias": upstream.sum(axis=0, keepdims=True),
+    }
+    g = upstream @ lw.T
+    for i, inp, channels, length, mask, relu, c_out in reversed(blocks):
+        _, g = _oracle_max_pool1d(relu, c_out, length, config.pool_width, g)
+        w, b = values[f"encoder.conv{i}.weight"], values[f"encoder.conv{i}.bias"]
+        _, g, grads[f"encoder.conv{i}.weight"], grads[f"encoder.conv{i}.bias"] = _oracle_conv1d(
+            inp, w, b, channels, length, g * mask
+        )
+    return cur @ lw + lb, grads
+
+
+@pytest.mark.parametrize("in_channels", [1, 3])
+def test_encode_matches_channel_major_oracles(in_channels):
+    """``encode`` runs time-major kernels with ReLU after the window max; its
+    output keeps the bits of the channel-major conv -> relu -> pool oracles.
+    Its gradients may differ only in the sign of an exact zero: under the old
+    order a window whose max is <= 0 sent ``g * False`` (-0.0 for g < 0) to its
+    first entry, and now every entry gets +0.0.  So gradients are compared
+    with ``np.array_equal``, which counts -0.0 equal to +0.0."""
+    config = ModelConfig(
+        in_channels=in_channels, length=13, embed_dim=6, n_classes=2,
+        conv_channels=(4, 5), kernel=4, pool_width=2,
+    )
+    rng = np.random.default_rng(in_channels)
+    params = init_model(config, rng)
+    x = randn(rng, 5, in_channels * config.length)
+    out = encode(x, params.encoder, config)
+    upstream = randn(rng, *out.shape)
+    ad.backward(project_sum(out, upstream))
+    values = {name: node.array for name, node in params.encoder.named().items()}
+    want_out, want_grads = _oracle_encode(x, values, config, upstream)
+    assert_same_bits(out.array, want_out)
+    assert set(want_grads) == set(values)
+    for name, node in params.encoder.named().items():
+        np.testing.assert_array_equal(node.gradient().array, want_grads[name], err_msg=name)
 
 
 # Reference kernels: the row softmax and log-sum-exp as first written, with
@@ -465,7 +578,7 @@ class TestInPlaceKernelParity:
         x = ad.leaf(np.zeros((3, 3)))
         with pytest.raises(DimensionError, match=r"shape \(3,\)"):
             if kernel == "softmax":
-                ad.masked_softmax_rows(x, np.arange(2))
+                ad.masked_softmax_rows(x, np.arange(2), temperature=1.0)
             else:
                 ad.logsumexp_row(x, np.arange(4))
 
@@ -719,6 +832,7 @@ class TestValueOwnership:
             ad.logsumexp_row(sq, np.arange(4)),
             ad.clamped_log_row_sum(sq, 1e-300, -1.0),
             ad.max_pool1d(x, channels=1, length=3, width=1),
+            ad.channel_major(x, channels=3, length=1),
         ]
         for node in outputs:
             assert not node.array.flags.writeable, node.op
@@ -817,6 +931,10 @@ def test_finite_difference_suite(seed):
         "max_pool1d": (
             lambda ls: ad.max_pool1d(ls[0], channels=2, length=6, width=2),
             [rng.permutation(36).astype(float).reshape(3, 12) * 0.21],
+        ),
+        "channel_major": (
+            lambda ls: ad.channel_major(ls[0], channels=3, length=4),
+            [randn(rng, 2, 12)],
         ),
     }
     for name, (build, arrays) in cases.items():

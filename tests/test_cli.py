@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from tscl.cli import main
+from tscl.cli import MAX_FUZZ_BATCH, MAX_FUZZ_DIM, main
 
 
 def run_cli(args) -> int:
@@ -116,6 +116,24 @@ def test_verify_bounds_invalid_range_is_usage_error(workspace, capsys, flag, val
         ["verify-bounds", flag, str(value), "--out", str(workspace["root"] / "vb_bad")]
     )
     _assert_one_error_line(code, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "flag, limit", [("--max-batch", MAX_FUZZ_BATCH), ("--max-dim", MAX_FUZZ_DIM)]
+)
+def test_verify_bounds_size_above_its_limit_fails_before_the_sweep(
+    workspace, capsys, monkeypatch, flag, limit
+):
+    def sweep(**_):
+        raise AssertionError("the sweep ran with a size above its limit")
+
+    monkeypatch.setattr("tscl.cli.fuzz_bounds", sweep)
+    code = run_cli(
+        ["verify-bounds", flag, str(limit + 1), "--out", str(workspace["root"] / "vb_big")]
+    )
+    err = capsys.readouterr().err
+    _assert_one_error_line(code, err)
+    assert f"error: {flag} must be at most {limit}, got {limit + 1}" in err
 
 
 def test_verify_bounds_reads_the_case_before_the_sweep(workspace, capsys, monkeypatch):
@@ -302,6 +320,19 @@ def test_pretrain_jobs_two_writes_same_bytes_as_jobs_one(workspace, pretrain_run
         for name in (f"record_seed{seed}.json", f"class_losses_seed{seed}.csv",
                      f"params_seed{seed}.json"):
             assert (out / name).read_bytes() == (pretrain_run / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_pretrain_jobs_below_one_is_usage_error(workspace, capsys, jobs):
+    out = workspace["root"] / f"run_jobs{jobs}"
+    code = run_cli(
+        ["pretrain", "--config", str(workspace["config"]), "--out", str(out),
+         "--jobs", str(jobs)]
+    )
+    err = capsys.readouterr().err
+    _assert_one_error_line(code, err)
+    assert f"error: --jobs must be >= 1, got {jobs}" in err
+    assert not out.exists()  # rejected before anything ran
 
 
 def test_probe_checkpoint_and_untrained(workspace, pretrain_run):
