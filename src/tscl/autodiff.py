@@ -172,8 +172,8 @@ def scale(a: DiffNode, c: float) -> DiffNode:
 
 def relu(a: DiffNode) -> DiffNode:
     mask = a.array > 0
-    # fmax maps NaN to 0 like np.where(mask, a, 0.0) and, unlike it, needs no
-    # branch per entry; adding 0.0 turns a -0.0 it may keep into +0.0.
+    # fmax maps NaN to 0 without a branch per entry; adding 0.0 turns a -0.0
+    # it may keep into +0.0.
     out = np.fmax(a.array, 0.0)
     out += 0.0
     return DiffNode(Tensor2D._adopt(out), parents=[(a, lambda g: g * mask)], op="relu")
