@@ -422,11 +422,6 @@ def cross_entropy_with_logits(logits: DiffNode, labels) -> DiffNode:
 # channel-major (entry [i, ch*L + t]); ``channel_major`` converts a
 # time-major activation back.
 
-#: Bytes of the conv input-gradient patches scattered per block of samples.
-#: On a 2 MiB-L2 Xeon, 0.5-1 MiB blocks halved the scatter's time at the
-#: benchmark's shapes; 2 MiB blocks gained little.
-_COL2IM_BLOCK_BYTES = 1 << 20
-
 
 def conv1d(
     x: DiffNode,
@@ -471,20 +466,20 @@ def conv1d(
     def pull_x(g: np.ndarray) -> np.ndarray:
         d = (g.reshape(n * length, c_out) @ wv).reshape(n, length, channels, k)
         dpadded = np.zeros_like(padded)
-        # The k reads of d[..., j] are strided; a block of samples holding
-        # about 1 MiB of d stays in cache across them.
-        step = max(1, _COL2IM_BLOCK_BYTES // max(1, d.strides[0]))  # strides[0]: bytes a sample
-        for s in range(0, n, step):
-            db, pb = d[s : s + step], dpadded[s : s + step]
-            for j in range(k - 1, -1, -1):  # descending j: np.add.at's summation order
-                pb[:, j : j + length] += db[..., j]
+        for j in range(k - 1, -1, -1):  # descending j: np.add.at's summation order
+            dpadded[:, j : j + length] += d[..., j]
         return dpadded[:, pad_left : pad_left + length].reshape(n, length * channels)
 
     def pull_w(g: np.ndarray) -> np.ndarray:
         return g.reshape(n * length, c_out).T @ patches
 
     def pull_b(g: np.ndarray) -> np.ndarray:
-        return g.reshape(n * length, c_out).sum(axis=0, keepdims=True)
+        g2 = g.reshape(n * length, c_out)
+        if n == 1:
+            # A lone series' channel-major gradient was column-contiguous, and
+            # NumPy sums such columns pairwise; at n >= 2 it added rows in order.
+            g2 = np.asfortranarray(g2)
+        return g2.sum(axis=0, keepdims=True)
 
     return DiffNode(
         Tensor2D._adopt(out.reshape(n, length * c_out)),
@@ -528,7 +523,7 @@ def max_pool1d(x: DiffNode, channels: int, length: int, width: int) -> DiffNode:
             best = np.maximum(best, cand)  # only compared, never output: keeps a NaN
     # flat index of each window's winner in x3
     flat = arg * channels
-    flat += np.arange(n * span * channels).reshape(n * out_len, width, channels)[:, 0]
+    flat += np.arange(n * out_len)[:, None] * (width * channels) + np.arange(channels)
     flat = flat.reshape(-1)
 
     def pull(g: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -459,7 +460,11 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
     seeds = list(config.seeds)
     results: list[tuple[dict, dict]] = []
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # Spawned, not forked: a fork leaves every page of this process
+        # copy-on-write, so each page it writes afterwards faults once more,
+        # and forking after BLAS has started its threads is unsafe.
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
             futures = [
                 pool.submit(_run_one_seed, config, train, test, s, probe_epochs, probe_lr)
                 for s in seeds

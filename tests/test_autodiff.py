@@ -8,7 +8,7 @@ import pytest
 
 from tscl import autodiff as ad
 from tscl.errors import DegenerateInputError, DimensionError, ParameterError
-from tscl.model import ModelConfig, encode, init_model
+from tscl.model import EncoderParams, ModelConfig, encode, init_model
 from tscl.tensor import Tensor2D, softmax_rows_inplace
 
 from gradcheck import (
@@ -334,7 +334,7 @@ class TestKernelParity:
             (2, 3, 3, 2, 8),  # length < k
             (1, 1, 16, 5, 8),
             (1, 2, 5, 3, 3),
-            (40, 16, 32, 4, 8),  # the input-gradient scatter runs in two sample blocks
+            (40, 16, 32, 4, 8),  # the default encoder's second block: 16 channels, k = 8
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1])
@@ -352,15 +352,7 @@ class TestKernelParity:
         assert_same_bits(_channel_major(node.array, c_out, length), out)
         assert_same_bits(_channel_major(got_dx, channels, length), dx)
         assert_same_bits(got_dw, dw)
-        if n > 1:
-            assert_same_bits(got_db, db)
-        else:
-            # At one row the oracle's transposed gradient is a strided view,
-            # which NumPy sums pairwise; the kernel adds the rows in order, as
-            # the oracle does at every n >= 2.  Training never pulls back
-            # through a one-row batch: its two views stack at least two rows.
-            np.testing.assert_allclose(got_db, db, rtol=1e-14)
-            assert_same_bits(got_db, g.reshape(c_out, length).T.copy().sum(axis=0, keepdims=True))
+        assert_same_bits(got_db, db)
 
     @pytest.mark.parametrize(
         "n, channels, length, width",
@@ -480,6 +472,31 @@ def test_encode_matches_channel_major_oracles(in_channels):
     assert set(want_grads) == set(values)
     for name, node in params.encoder.named().items():
         np.testing.assert_array_equal(node.gradient().array, want_grads[name], err_msg=name)
+
+
+def test_encode_maps_a_nan_window_to_zero():
+    """Pinned difference from relu-then-pool, for non-finite activations only:
+    a window holding a NaN beside a positive entry wins with the NaN, which
+    ReLU then maps to 0, so it outputs 0 (relu-then-pool gave the 5) and sends
+    its gradient nowhere."""
+    config = ModelConfig(
+        in_channels=1, length=4, embed_dim=1, n_classes=2,
+        conv_channels=(1,), kernel=1, pool_width=2,
+    )
+    encoder = EncoderParams(
+        conv_weights=(ad.leaf(np.array([[1.0]])),),
+        conv_biases=(ad.leaf(np.array([[0.0]])),),
+        linear_weight=ad.leaf(np.array([[1.0], [10.0]])),
+        linear_bias=ad.leaf(np.array([[0.0]])),
+    )
+    x = np.array([[np.nan, 5.0, 3.0, -2.0]])
+    assert_same_bits(encode(x, encoder, config).array, np.array([[30.0]]))  # 0*1 + 3*10
+
+    leaf = ad.leaf(x)
+    out = ad.relu(ad.max_pool1d(leaf, channels=1, length=4, width=2))
+    assert_same_bits(out.array, np.array([[0.0, 3.0]]))
+    ad.backward(project_sum(out, np.array([[1.0, 2.0]])))
+    assert_same_bits(leaf.gradient().array, np.array([[0.0, 0.0, 2.0, 0.0]]))
 
 
 # Reference kernels: the row softmax and log-sum-exp as first written, with
