@@ -1,9 +1,9 @@
 """Time-series batches and the weak/strong augmentations that make views.
 
-Samples are augmented in storage order with one derived generator per
-sample, so a sample's draws depend only on its position in the dataset
-and the parent seed — batch composition downstream never changes them,
-and per-sample work is embarrassingly parallel.
+Each view of a dataset draws from the one generator it is given, in bulk
+over all samples in storage order.  So a view depends on the dataset and
+the view's seed only: the shuffle and the batches cut downstream never
+change it.
 """
 
 from __future__ import annotations
@@ -123,13 +123,14 @@ def weak_augment(
     rng: np.random.Generator,
     params: AugmentParams = AugmentParams(),
 ) -> TimeSeriesBatch:
-    """Additive jitter followed by one multiplicative factor per sample."""
-    out = batch.values.copy()
-    for i, child in enumerate(rng.spawn(batch.n)):
-        noise = child.normal(0.0, params.weak_jitter, size=out.shape[1])
-        factor = child.normal(1.0, params.weak_scale)
-        out[i] = (out[i] + noise) * factor
-    return batch.with_values(out)
+    """Additive jitter followed by one multiplicative factor per sample.
+
+    Draws from ``rng`` in this order: the jitter of every entry, then one
+    factor per sample.
+    """
+    noise = rng.normal(0.0, params.weak_jitter, size=batch.values.shape)
+    factor = rng.normal(1.0, params.weak_scale, size=(batch.n, 1))
+    return batch.with_values((batch.values + noise) * factor)
 
 
 def strong_augment(
@@ -137,20 +138,33 @@ def strong_augment(
     rng: np.random.Generator,
     params: AugmentParams = AugmentParams(),
 ) -> TimeSeriesBatch:
-    """Segment-permute each series along time, then jitter."""
+    """Segment-permute each series along time, then jitter.
+
+    Draws from ``rng`` in this order: each sample's segment count, uniform
+    on 1..max_segments; one uniform key per gap between time steps, where
+    the ``count - 1`` gaps with the smallest keys are cut; one uniform key
+    per segment slot, where the segments are placed in the order of their
+    keys; then the jitter of every entry.  All channels of a sample share
+    its time permutation.
+    """
     if batch.length < params.max_segments:
         raise ParameterError(
             f"series length {batch.length} is shorter than "
             f"max_segments {params.max_segments}"
         )
-    out = batch.as_3d().copy()
-    for i, child in enumerate(rng.spawn(batch.n)):
-        segments = int(child.integers(1, params.max_segments + 1))
-        if segments > 1:
-            cuts = np.sort(child.choice(batch.length - 1, segments - 1, replace=False))
-            pieces = np.split(out[i], cuts + 1, axis=1)
-            order = child.permutation(segments)
-            out[i] = np.concatenate([pieces[j] for j in order], axis=1)
-        noise = child.normal(0.0, params.strong_jitter, size=out[i].shape)
-        out[i] = out[i] + noise
-    return batch.with_values(out.reshape(batch.n, -1))
+    n, length = batch.n, batch.length
+    segments = rng.integers(1, params.max_segments + 1, n)
+    gap_keys = rng.random((n, length - 1))
+    # A gap is cut when its key is below the row's segments-th smallest key;
+    # the appended 2.0 stands for that key when every gap is cut.
+    ranked = np.concatenate([np.sort(gap_keys, axis=1), np.full((n, 1), 2.0)], axis=1)
+    cut = gap_keys < np.take_along_axis(ranked, segments[:, None] - 1, axis=1)
+    segment_of = np.zeros((n, length), dtype=np.int64)
+    np.cumsum(cut, axis=1, out=segment_of[:, 1:])
+    # Each step takes its segment's key; a stable sort keeps a segment's steps
+    # in order and places the segments by key.
+    step_keys = np.take_along_axis(rng.random((n, params.max_segments)), segment_of, axis=1)
+    source = np.argsort(step_keys, axis=1, kind="stable")
+    out = np.take_along_axis(batch.as_3d(), source[:, None, :], axis=2)
+    out += rng.normal(0.0, params.strong_jitter, size=out.shape)
+    return batch.with_values(out.reshape(batch.values.shape))

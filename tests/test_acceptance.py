@@ -397,7 +397,7 @@ def test_criterion_5_imbalance_shrinks_late_loss_gap():
     assert elapsed < 15 * 60, f"took {elapsed:.0f}s, budget is 15 minutes"
 
 
-def test_tracking_examples_on_phenomenon_runs():
+def test_tracking_examples_on_criterion_5_runs():
     """Spot checks on the runs criterion 5 just trained: at epoch 1 the class
     gap is small relative to the loss level; late in training the balanced
     run keeps majority >= minority while the imbalanced gap is smaller."""

@@ -108,6 +108,15 @@ class TestWeakAugment:
         c = weak_augment(batch, np.random.default_rng(43))
         assert not np.array_equal(a.values, c.values)
 
+    def test_draws_jitter_then_one_factor_per_sample(self):
+        batch = _batch(np.random.default_rng(10))
+        params = AugmentParams(weak_jitter=0.3, weak_scale=0.2)
+        out = weak_augment(batch, np.random.default_rng(11), params)
+        rng = np.random.default_rng(11)
+        noise = rng.normal(0.0, 0.3, size=batch.values.shape)
+        factor = rng.normal(1.0, 0.2, size=(batch.n, 1))
+        npt.assert_array_equal(out.values, (batch.values + noise) * factor)
+
     def test_metadata_preserved(self):
         batch = _batch(np.random.default_rng(4))
         out = weak_augment(batch, np.random.default_rng(0))
@@ -120,7 +129,64 @@ class TestWeakAugment:
         )
 
 
+def _arange_batch(n, channels, length) -> TimeSeriesBatch:
+    """Every channel of every row holds 0..length-1 shifted by length*channel."""
+    values = np.arange(channels * length, dtype=np.float64)
+    return TimeSeriesBatch(
+        values=np.tile(values, (n, 1)),
+        labels=np.zeros(n),
+        label_mask=np.zeros(n, dtype=bool),
+        channels=channels,
+        length=length,
+    )
+
+
+def _permutations(n, channels, length, max_segments, seed=0) -> np.ndarray:
+    """The time permutation each row of a zero-jitter strong view applies."""
+    params = AugmentParams(strong_jitter=0.0, max_segments=max_segments)
+    out = strong_augment(_arange_batch(n, channels, length), np.random.default_rng(seed), params)
+    steps = out.as_3d() - length * np.arange(channels)[:, None]
+    return steps.astype(np.int64)
+
+
+def _runs(permutation: np.ndarray) -> int:
+    """How many contiguous ascending runs (t, t+1, ...) a permutation holds."""
+    return 1 + int(np.count_nonzero(np.diff(permutation) != 1))
+
+
 class TestStrongAugment:
+    @pytest.mark.parametrize("channels,length,max_segments", [(1, 16, 5), (3, 7, 4)])
+    def test_rows_are_at_most_max_segments_ascending_runs(self, channels, length, max_segments):
+        perms = _permutations(500, channels, length, max_segments)[:, 0]
+        for perm in perms:
+            npt.assert_array_equal(np.sort(perm), np.arange(length))
+            assert _runs(perm) <= max_segments
+
+    def test_channels_share_the_time_permutation(self):
+        perms = _permutations(300, 4, 12, 5)
+        npt.assert_array_equal(perms, np.broadcast_to(perms[:, :1], perms.shape))
+
+    def test_segment_counts_and_cuts_cover_their_ranges(self):
+        n, length, max_segments = 2000, 16, 5
+        perms = _permutations(n, 1, length, max_segments, seed=3)[:, 0]
+        # The segment counts are the view's first draw.
+        counts = np.random.default_rng(3).integers(1, max_segments + 1, n)
+        assert set(counts.tolist()) == set(range(1, max_segments + 1))
+        runs = np.array([_runs(perm) for perm in perms])
+        assert (runs <= counts).all()
+        npt.assert_array_equal(perms[counts == 1], np.tile(np.arange(length), (np.sum(counts == 1), 1)))
+        # Gap g lies between source steps g and g+1; a permutation that does
+        # not keep them adjacent cut it.
+        position = np.argsort(perms, axis=1)
+        cut = np.diff(position, axis=1) != 1
+        assert cut.any(axis=0).all()
+
+    def test_max_segments_equal_to_length(self):
+        length = 5
+        perms = _permutations(2000, 2, length, length, seed=4)[:, 0]
+        npt.assert_array_equal(np.sort(perms, axis=1), np.tile(np.arange(length), (2000, 1)))
+        assert max(_runs(perm) for perm in perms) == length
+
     def test_single_segment_zero_noise_is_identity(self):
         batch = _batch(np.random.default_rng(6))
         params = AugmentParams(strong_jitter=0.0, max_segments=1)
