@@ -174,7 +174,7 @@ class TestStrongAugment:
         assert set(counts.tolist()) == set(range(1, max_segments + 1))
         runs = np.array([_runs(perm) for perm in perms])
         assert (runs <= counts).all()
-        npt.assert_array_equal(perms[counts == 1], np.tile(np.arange(length), (np.sum(counts == 1), 1)))
+        assert (perms[counts == 1] == np.arange(length)).all()
         # Gap g lies between source steps g and g+1; a permutation that does
         # not keep them adjacent cut it.
         position = np.argsort(perms, axis=1)
@@ -184,7 +184,7 @@ class TestStrongAugment:
     def test_max_segments_equal_to_length(self):
         length = 5
         perms = _permutations(2000, 2, length, length, seed=4)[:, 0]
-        npt.assert_array_equal(np.sort(perms, axis=1), np.tile(np.arange(length), (2000, 1)))
+        assert (np.sort(perms, axis=1) == np.arange(length)).all()
         assert max(_runs(perm) for perm in perms) == length
 
     def test_single_segment_zero_noise_is_identity(self):
