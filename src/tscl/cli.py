@@ -28,11 +28,9 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -44,7 +42,7 @@ import numpy as np
 from . import __version__
 from .augment import TimeSeriesBatch
 from .bounds import FUZZ_TEMPERATURES, SLACK_FLOOR, bound_sc, bound_uc, fuzz_bounds
-from .data import SynthSpec, generate, load_delimited, save_delimited, split_labels, stratified_split
+from .data import SynthSpec, generate, load_delimited, save_delimited, stratified_split
 from .errors import (
     DegenerateInputError,
     ParameterError,
@@ -60,11 +58,12 @@ from .harness import (
     TrainConfig,
     check_probe_settings,
     class_loss_csv,
+    label_split_for_seed,
     linear_probe,
     load_run_record,
     model_config_for,
-    pretrain,
-    run_experiment,
+    run_seed,
+    run_seeds,
     save_run_record,
 )
 from .losses import BatchIndexing
@@ -77,10 +76,6 @@ EXIT_VERIFY = 2
 
 CONFIG_SCHEMA = "tscl-config-v1"
 MANIFEST_SCHEMA = "tscl-manifest-v1"
-
-#: Fixed tag mixed into the run seed to derive the label-split stream, so the
-#: labeled subset is reproducible per seed yet independent of training noise.
-_LABEL_SPLIT_TAG = 7
 
 T = TypeVar("T")
 
@@ -251,13 +246,6 @@ def _training_inputs(
     paths, shape = _section(doc, "data", args.config, _data_files)
     train, test = (_read_rows(path, shape) for path in paths)
     return doc, config, probe_epochs, probe_lr, train, test
-
-
-def _label_split_for_seed(
-    batch: TimeSeriesBatch, fraction: float, seed: int
-) -> TimeSeriesBatch:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _LABEL_SPLIT_TAG]))
-    return split_labels(batch, fraction, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -433,23 +421,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # pretrain
 
 
-def _run_one_seed(
-    config: TrainConfig,
-    train: TimeSeriesBatch,
-    test: TimeSeriesBatch,
-    seed: int,
-    probe_epochs: int,
-    probe_lr: float,
-) -> tuple[dict, dict]:
-    """Worker for one seed; returns picklable (record dict, value arrays)."""
-    labeled = _label_split_for_seed(train, config.label_fraction, seed)
-    params, record = run_experiment(
-        config, labeled, test, seed=seed, probe_epochs=probe_epochs, probe_lr=probe_lr
-    )
-    values = {name: node.value.array for name, node in params.named().items()}
-    return record.to_dict(), values
-
-
 def _cmd_pretrain(args: argparse.Namespace) -> int:
     started = time.time()
     if args.jobs < 1:
@@ -457,26 +428,8 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
     doc, config, probe_epochs, probe_lr, train, test = _training_inputs(args)
     out_dir = _output_dir(args, "pretrain")
 
-    seeds = list(config.seeds)
-    results: list[tuple[dict, dict]] = []
-    if args.jobs > 1:
-        # Spawned, not forked: a fork leaves every page of this process
-        # copy-on-write, so each page it writes afterwards faults once more,
-        # and forking after BLAS has started its threads is unsafe.
-        spawn = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-            futures = [
-                pool.submit(_run_one_seed, config, train, test, s, probe_epochs, probe_lr)
-                for s in seeds
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _run_one_seed(config, train, test, s, probe_epochs, probe_lr) for s in seeds
-        ]
-
-    for seed, (record_dict, values) in zip(seeds, results):
-        record = RunRecord.from_dict(record_dict)
+    calls = [(config, train, test, seed, probe_epochs, probe_lr) for seed in config.seeds]
+    for seed, (record, values) in zip(config.seeds, run_seeds(run_seed, calls, args.jobs)):
         _save_seed_outputs(out_dir, seed, record, values)
         metrics = record.final_metrics or {}
         print(
@@ -486,7 +439,7 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
             f"macro-F1 {metrics.get('macro_f1', float('nan')):.4f}"
         )
 
-    _write_manifest(out_dir, "pretrain", args.config, doc, seeds, started)
+    _write_manifest(out_dir, "pretrain", args.config, doc, config.seeds, started)
     return EXIT_OK
 
 
@@ -540,7 +493,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     else:
         source = "untrained (random initialization)"
 
-    labeled = _label_split_for_seed(train, config.label_fraction, seed)
+    labeled = label_split_for_seed(train, config.label_fraction, seed)
     try:
         _, report = linear_probe(
             params, model_config, labeled, test, epochs=probe_epochs, lr=probe_lr
@@ -688,7 +641,7 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--config", required=True, help="JSON config with 'train' and 'data' sections")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+    p.add_argument("--jobs", type=int, default=1, help="seed workers, at most the usable cores")
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("probe", help="linear-probe a frozen encoder")

@@ -64,6 +64,9 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(message)
         self.last_good_epoch = last_good_epoch
 
+    def __reduce__(self):  # pickled from a worker process: both arguments
+        return type(self), (str(self), self.last_good_epoch)
+
 
 def check_integer(name: str, value) -> None:
     """Raise unless ``value`` is an int; a bool or an integral float is not."""

@@ -1,4 +1,4 @@
-"""Training harness: pretraining loop, linear probing, and run records.
+"""Training harness: pretraining loop, linear probing, run records, seed runner.
 
 The harness wires the encoder, projection head, similarity graph, and the
 loss terms into a deterministic training loop.  Determinism is organized
@@ -18,14 +18,16 @@ import functools
 import io
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .augment import AugmentParams, TimeSeriesBatch, strong_augment, weak_augment
+from .data import split_labels
 from .errors import (
     DegenerateInputError,
     ParameterError,
@@ -75,6 +77,9 @@ __all__ = [
     "check_probe_settings",
     "linear_probe",
     "run_experiment",
+    "label_split_for_seed",
+    "run_seed",
+    "run_seeds",
     "track_class_losses",
     "class_loss_csv",
     "save_run_record",
@@ -685,6 +690,55 @@ def run_experiment(
         params, model_config, train, test, epochs=probe_epochs, lr=probe_lr
     )
     return params, record.with_metrics(report.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# Seeded runs, in this process or in worker processes
+
+#: Fixed tag mixed into the run seed to derive the label-split stream, so the
+#: labeled subset is reproducible per seed yet independent of training noise.
+_LABEL_SPLIT_TAG = 7
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def label_split_for_seed(batch: TimeSeriesBatch, fraction: float, seed: int) -> TimeSeriesBatch:
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _LABEL_SPLIT_TAG]))
+    return split_labels(batch, fraction, rng)
+
+
+def run_seed(config: TrainConfig, train: TimeSeriesBatch, test: TimeSeriesBatch, seed: int,
+             probe_epochs: int = 200, probe_lr: float = 1e-2) -> tuple[RunRecord, dict]:
+    """Split ``train``'s labels for ``seed``, then :func:`run_experiment`; the
+    parameters come back as arrays by name, which pickle where Tensor2D does not."""
+    labeled = label_split_for_seed(train, config.label_fraction, seed)
+    params, record = run_experiment(config, labeled, test, seed, probe_epochs=probe_epochs,
+                                    probe_lr=probe_lr)
+    return record, {name: node.value.array for name, node in params.named().items()}
+
+
+def run_seeds(fn: Callable, calls: Sequence[tuple], jobs: int) -> list:
+    """``[fn(*args) for args in calls]`` on ``min(jobs, usable cores, calls)`` workers: one
+    runs them here, more are spawned with BLAS on one thread.  The first call to raise
+    cancels those not started; its error is raised once the running ones and workers end."""
+    workers = min(jobs, len(os.sched_getaffinity(0)), len(calls))
+    if workers <= 1:
+        return [fn(*args) for args in calls]
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait  # lazy import
+    from multiprocessing import get_context
+    saved = {name: os.environ[name] for name in _BLAS_THREAD_VARIABLES if name in os.environ}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))  # the workers inherit it
+    try:
+        # Spawned, not forked: after a fork each page this process writes faults once
+        # more (copy-on-write), and forking once BLAS has started threads is unsafe.
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            futures = [pool.submit(fn, *args) for args in calls]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)
+    finally:
+        for name in _BLAS_THREAD_VARIABLES:
+            del os.environ[name]
+        os.environ.update(saved)
+    return [future.result() for future in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Each ``test_criterion_<n>_*`` function decides one criterion; the terminal
 summary hook in ``conftest.py`` prints a PASS/FAIL line per criterion after
 the run.  Criteria 5 and 6 train real models on synthetic data and dominate
-the suite's runtime (each is budgeted and asserted below).
+the suite's runtime (each is budgeted and asserted below); each submits its
+10 training runs to the harness's seed runner at once, which spreads them
+over the usable cores.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from tscl.harness import (
     TrainConfig,
     pretrain,
     run_experiment,
+    run_seed,
+    run_seeds,
     save_run_record,
     track_class_losses,
 )
@@ -384,14 +388,11 @@ _C5_RUNS: dict[tuple[str, int], tuple[float, object, object]] = {}
 
 def test_criterion_5_imbalance_shrinks_late_loss_gap():
     start = time.perf_counter()
-    wins = 0
-    for seed in range(5):
-        balanced, b_first, b_rec = _late_epoch_gap((250, 250, 250, 250), seed)
-        imbalanced, i_first, i_rec = _late_epoch_gap((600, 250, 100, 50), seed)
-        _C5_RUNS[("balanced", seed)] = (balanced, b_first, b_rec)
-        _C5_RUNS[("imbalanced", seed)] = (imbalanced, i_first, i_rec)
-        if balanced > imbalanced:
-            wins += 1
+    counts = {"balanced": (250, 250, 250, 250), "imbalanced": (600, 250, 100, 50)}
+    runs = [(shape, seed) for seed in range(5) for shape in counts]
+    calls = [(counts[shape], seed) for shape, seed in runs]
+    _C5_RUNS.update(zip(runs, run_seeds(_late_epoch_gap, calls, jobs=len(calls))))
+    wins = sum(_C5_RUNS[("balanced", s)][0] > _C5_RUNS[("imbalanced", s)][0] for s in range(5))
     elapsed = time.perf_counter() - start
     assert wins >= 4, f"balanced gap exceeded imbalanced gap in only {wins}/5 seeds"
     assert elapsed < 15 * 60, f"took {elapsed:.0f}s, budget is 15 minutes"
@@ -450,27 +451,19 @@ def test_criterion_6_semi_supervised_graph_model_beats_baseline():
     )
     minority = str(len(spec.class_counts) - 1)  # classes are sorted by size
 
+    runs = [(variant, seed) for seed in range(5) for variant in ("mlp_id", "full")]
+    calls = [
+        (TrainConfig(variant=variant, epochs=40, batch_size=128, embed_dim=32, seeds=(seed,),
+                     label_fraction=0.10), train, test, seed)
+        for variant, seed in runs
+    ]
+    scores = {}
+    for run, (record, _) in zip(runs, run_seeds(run_seed, calls, jobs=len(calls))):
+        metrics = record.final_metrics
+        scores[run] = (metrics["per_class"][minority]["f1"], metrics["macro_f1"])
     wins = 0
     for seed in range(5):
-        labeled = split_labels(
-            train, 0.10, np.random.default_rng(np.random.SeedSequence([seed, 7]))
-        )
-        scores = {}
-        for variant in ("mlp_id", "full"):
-            config = TrainConfig(
-                variant=variant,
-                epochs=40,
-                batch_size=128,
-                embed_dim=32,
-                seeds=(seed,),
-            )
-            _, record = run_experiment(config, labeled, test, seed=seed)
-            metrics = record.final_metrics
-            scores[variant] = (
-                metrics["per_class"][minority]["f1"],
-                metrics["macro_f1"],
-            )
-        baseline, full = scores["mlp_id"], scores["full"]
+        baseline, full = scores[("mlp_id", seed)], scores[("full", seed)]
         if full[0] > baseline[0] and full[1] > baseline[1]:
             wins += 1
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@
 formatting, and byte-level determinism of the pipeline outputs."""
 
 import json
+import multiprocessing
 import re
 
 import numpy as np
@@ -307,6 +308,21 @@ def test_pretrain_divergence_exits_two(workspace, capsys):
         )
     assert code == 2
     assert "diverged" in capsys.readouterr().err
+
+
+def test_pretrain_jobs_two_divergence_exits_two_and_leaves_no_worker(workspace, capsys):
+    # Both seeds diverge; with two usable cores each runs in a worker process.
+    out = workspace["root"] / "run_div_jobs2"
+    with np.errstate(all="ignore"):
+        code = run_cli(
+            ["pretrain", "--config", str(workspace["config"]), "--out", str(out),
+             "--set", "train.lr=1e80", "--set", "train.weight_decay=0.0",
+             "--set", "train.embed_dim=4", "--jobs", "2"]
+        )
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "training diverged" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_pretrain_jobs_two_writes_same_bytes_as_jobs_one(workspace, pretrain_run):

@@ -6,8 +6,12 @@ import dataclasses
 import gc
 import json
 import multiprocessing
+import os
+import pickle
 import platform
 import resource
+import threading
+import time
 import warnings
 import weakref
 
@@ -258,6 +262,10 @@ def test_divergence_aborts_with_last_good_epoch():
             pretrain(config, data, seed=1)
     assert excinfo.value.last_good_epoch == 0
     assert "epoch 1" in str(excinfo.value)
+    # A worker process hands the exception back pickled.
+    copy = pickle.loads(pickle.dumps(excinfo.value))
+    assert type(copy) is TrainingDivergedError
+    assert (str(copy), copy.last_good_epoch) == (str(excinfo.value), 0)
 
 
 def _three_step_epochs():
@@ -635,6 +643,86 @@ def test_run_experiment_fills_final_metrics(labeled_split):
     assert 0.0 <= record.final_metrics["accuracy"] <= 1.0
     assert record.final_metrics["metric_scale"] == "fraction"
     assert set(record.final_metrics["per_class"]) == {"0", "1", "2", "3"}
+
+
+# ---------------------------------------------------------------------------
+# Seed runner
+
+_PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _thread_pools(monkeypatch, cores: int) -> list[int]:
+    """Pretend this process may use ``cores`` cores and make the runner's
+    pools thread pools; returns the worker count of each pool it opens."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    sizes = []
+
+    class ThreadPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "spawn"
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPool)
+    return sizes
+
+
+# No real pool starts here, so a huge ``jobs`` value costs nothing even if the
+# cap were wrong.
+@pytest.mark.parametrize(
+    "jobs, cores, n_calls, pools",
+    [
+        (1, 4, 3, []),  # one job: in this process
+        (10**6, 1, 3, []),  # one usable core: in this process
+        (10**6, 4, 1, []),  # one call: in this process
+        (10**6, 4, 3, [3]),  # capped by the calls
+        (10**6, 2, 5, [2]),  # capped by the cores
+        (3, 8, 5, [3]),  # capped by jobs
+    ],
+)
+def test_run_seeds_worker_count(monkeypatch, jobs, cores, n_calls, pools):
+    sizes = _thread_pools(monkeypatch, cores)
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    environ = dict(os.environ)
+    main = threading.get_ident()
+
+    def call(i):
+        return i, threading.get_ident(), [os.environ.get(name) for name in _PINNED]
+
+    results = harness.run_seeds(call, [(i,) for i in range(n_calls)], jobs)
+    assert sizes == pools
+    assert [i for i, _, _ in results] == list(range(n_calls))
+    for _, thread, seen in results:
+        if pools:  # workers start with BLAS on one thread
+            assert thread != main and seen == ["1", "1", "1"]
+        else:
+            assert thread == main and seen == [environ.get(name) for name in _PINNED]
+    assert dict(os.environ) == environ
+
+
+def test_run_seeds_first_failure_cancels_calls_not_started(monkeypatch):
+    _thread_pools(monkeypatch, cores=2)
+    started = []
+
+    def call(i):
+        started.append(i)
+        if i == 1:
+            raise ValueError("call 1 failed")
+        time.sleep(0.2)
+        return i
+
+    with pytest.raises(ValueError, match="call 1 failed"):
+        harness.run_seeds(call, [(i,) for i in range(10)], jobs=2)
+    assert 9 not in started
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable core runs in-process")
+def test_run_seeds_spawned_workers_run_blas_on_one_thread():
+    environ = dict(os.environ)
+    assert harness.run_seeds(os.getenv, [(name,) for name in _PINNED], jobs=2) == ["1"] * 3
+    assert dict(os.environ) == environ
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
