@@ -246,6 +246,10 @@ def row_l2_normalize(a: DiffNode) -> DiffNode:
     small = np.nonzero(norms[:, 0] < 1e-12)[0]
     if small.size:
         raise DegenerateInputError(f"zero-norm row at index {int(small[0])}")
+    # An inf norm would map its row to zeros and a NaN norm would pass on.
+    unbounded = np.nonzero(~np.isfinite(norms[:, 0]))[0]
+    if unbounded.size:
+        raise DegenerateInputError(f"non-finite-norm row at index {int(unbounded[0])}")
     out = av / norms
 
     def pull(g: np.ndarray) -> np.ndarray:

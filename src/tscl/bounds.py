@@ -215,56 +215,41 @@ def equality_conditions_from_sims(
     return _equality(sims, members, complement, tol)
 
 
-def bound_sc_from_sims(
-    sims: np.ndarray,
-    idx: BatchIndexing,
-    class_index: int,
-    temperature: float = 1.0,
-    tol: float = 1e-9,
-) -> BoundReport:
+def _bound_from_sims(kind: str, sims: np.ndarray, idx: BatchIndexing, class_index: int,
+                     temperature: float, tol: float) -> BoundReport:
+    """The ``"supervised"`` or ``"instance"`` bound for one class from raw inner products."""
+    sims, members, complement = _prepare(sims, idx, class_index, (temperature,))
+    stats = _anchor_stats(sims, idx, members, complement, temperature)
+    terms, primary_term_name = (
+        (_sc_terms, "constant") if kind == "supervised" else (_uc_terms, "confliction")
+    )
+    primary, confrontation, bound, actual = terms(stats, members, complement)
+    primary = np.broadcast_to(primary, members.shape)  # the constant is one number
+    anchors = tuple(
+        AnchorBound(int(i), float(pr), float(cf), float(b), float(a))
+        for i, pr, cf, b, a in zip(members, primary, confrontation, bound, actual)
+    )
+    return BoundReport(
+        kind=kind,
+        class_index=int(class_index),
+        primary_term_name=primary_term_name,
+        anchors=anchors,
+        total_bound=float(bound.sum()),
+        total_actual=float(actual.sum()),
+        equality=_equality(sims, members, complement, tol),
+    )
+
+
+def bound_sc_from_sims(sims: np.ndarray, idx: BatchIndexing, class_index: int,
+                       temperature: float = 1.0, tol: float = 1e-9) -> BoundReport:
     """Supervised-loss lower bound for one class from raw inner products."""
-    sims, members, complement = _prepare(sims, idx, class_index, (temperature,))
-    stats = _anchor_stats(sims, idx, members, complement, temperature)
-    constant, confrontation, bound, actual = _sc_terms(stats, members, complement)
-    anchors = tuple(
-        AnchorBound(int(i), constant, float(cf), float(b), float(a))
-        for i, cf, b, a in zip(members, confrontation, bound, actual)
-    )
-    return BoundReport(
-        kind="supervised",
-        class_index=int(class_index),
-        primary_term_name="constant",
-        anchors=anchors,
-        total_bound=float(bound.sum()),
-        total_actual=float(actual.sum()),
-        equality=_equality(sims, members, complement, tol),
-    )
+    return _bound_from_sims("supervised", sims, idx, class_index, temperature, tol)
 
 
-def bound_uc_from_sims(
-    sims: np.ndarray,
-    idx: BatchIndexing,
-    class_index: int,
-    temperature: float = 1.0,
-    tol: float = 1e-9,
-) -> BoundReport:
+def bound_uc_from_sims(sims: np.ndarray, idx: BatchIndexing, class_index: int,
+                       temperature: float = 1.0, tol: float = 1e-9) -> BoundReport:
     """Instance-loss lower bound for one class from raw inner products."""
-    sims, members, complement = _prepare(sims, idx, class_index, (temperature,))
-    stats = _anchor_stats(sims, idx, members, complement, temperature)
-    confliction, confrontation, bound, actual = _uc_terms(stats, members, complement)
-    anchors = tuple(
-        AnchorBound(int(i), float(cl), float(cf), float(b), float(a))
-        for i, cl, cf, b, a in zip(members, confliction, confrontation, bound, actual)
-    )
-    return BoundReport(
-        kind="instance",
-        class_index=int(class_index),
-        primary_term_name="confliction",
-        anchors=anchors,
-        total_bound=float(bound.sum()),
-        total_actual=float(actual.sum()),
-        equality=_equality(sims, members, complement, tol),
-    )
+    return _bound_from_sims("instance", sims, idx, class_index, temperature, tol)
 
 
 def _unit_sims(z) -> np.ndarray:
@@ -353,14 +338,15 @@ def fuzz_bounds(
     max_dim: int = 8,
     max_classes: int = 4,
     temperatures: tuple[float, ...] = FUZZ_TEMPERATURES,
-    equality_tol: float = 1e-12,
 ) -> FuzzSummary:
     """Random-configuration sweep asserting actual >= bound everywhere.
 
     Each configuration is a two-view batch of unit-norm embeddings with
     random labels; both bounds are evaluated for every class present with
     at least two members and a nonempty complement, at every temperature.
-    A slack below :data:`SLACK_FLOOR` counts as a violation.
+    A slack below :data:`SLACK_FLOOR` counts as a violation.  A class's
+    evaluations count as equality cases when both equality conditions hold
+    to within 1e-12.
     """
     if configurations < 1:
         raise ParameterError(f"need at least one configuration, got {configurations}")
@@ -397,7 +383,7 @@ def fuzz_bounds(
         sims = z @ z.T
         for y in classes:
             sims, members, complement = _prepare(sims, idx, int(y), temperatures)
-            equal = _equality(sims, members, complement, equality_tol).both
+            equal = _equality(sims, members, complement, 1e-12).both
             for tau in temperatures:
                 stats = _anchor_stats(sims, idx, members, complement, tau)
                 for terms in (_sc_terms, _uc_terms):

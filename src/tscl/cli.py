@@ -58,17 +58,14 @@ from .harness import (
     TrainConfig,
     check_probe_settings,
     class_loss_csv,
-    label_split_for_seed,
-    linear_probe,
     load_run_record,
-    model_config_for,
+    probe_seed,
     run_seed,
     run_seeds,
     save_run_record,
 )
 from .losses import BatchIndexing
-from .model import init_model, load_values, rebuild_with_values, save_values
-from .tensor import Tensor2D
+from .model import save_values
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -430,7 +427,11 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
 
     calls = [(config, train, test, seed, probe_epochs, probe_lr) for seed in config.seeds]
     for seed, (record, values) in zip(config.seeds, run_seeds(run_seed, calls, args.jobs)):
-        _save_seed_outputs(out_dir, seed, record, values)
+        save_run_record(record, str(out_dir / f"record_seed{seed}.json"))
+        (out_dir / f"class_losses_seed{seed}.csv").write_text(
+            class_loss_csv(record), encoding="utf-8"
+        )
+        save_values(values, out_dir / f"params_seed{seed}.json")
         metrics = record.final_metrics or {}
         print(
             f"seed {seed}: final combined loss "
@@ -443,36 +444,8 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _save_seed_outputs(out_dir: Path, seed: int, record: RunRecord, values: dict) -> None:
-    save_run_record(record, str(out_dir / f"record_seed{seed}.json"))
-    (out_dir / f"class_losses_seed{seed}.csv").write_text(
-        class_loss_csv(record), encoding="utf-8"
-    )
-    save_values(
-        {name: Tensor2D(arr) for name, arr in values.items()},
-        out_dir / f"params_seed{seed}.json",
-    )
-
-
 # ---------------------------------------------------------------------------
 # probe
-
-
-def _check_checkpoint(
-    loaded: dict[str, Tensor2D], expected: dict[str, Tensor2D], path: str
-) -> None:
-    """Raise unless ``loaded`` holds exactly the model's arrays, shape for shape."""
-    problems = [f"missing {name}" for name in sorted(set(expected) - set(loaded))]
-    problems += [f"unexpected {name}" for name in sorted(set(loaded) - set(expected))]
-    problems += [
-        f"{name} has shape {loaded[name].shape}, the model needs {expected[name].shape}"
-        for name in sorted(set(loaded) & set(expected))
-        if loaded[name].shape != expected[name].shape
-    ]
-    if problems:
-        raise ParameterError(
-            f"{path}: checkpoint does not match the model: {'; '.join(problems)}"
-        )
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
@@ -481,23 +454,9 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     out_dir = _output_dir(args, "probe")
 
     seed = args.seed if args.seed is not None else config.seeds[0]
-    model_config = model_config_for(config, train)
-    params = init_model(
-        model_config, np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-    )
-    if args.params is not None:
-        loaded = load_values(args.params)
-        _check_checkpoint(loaded, params.values(), args.params)
-        params = rebuild_with_values(params, loaded)
-        source = args.params
-    else:
-        source = "untrained (random initialization)"
-
-    labeled = label_split_for_seed(train, config.label_fraction, seed)
+    source = args.params if args.params is not None else "untrained (random initialization)"
     try:
-        _, report = linear_probe(
-            params, model_config, labeled, test, epochs=probe_epochs, lr=probe_lr
-        )
+        report = probe_seed(config, train, test, seed, args.params, probe_epochs, probe_lr)
     except DegenerateInputError as exc:  # e.g. a checkpoint that overflows the encoder
         raise DegenerateInputError(f"{source}: {exc}") from exc
     payload = {

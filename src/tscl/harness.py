@@ -59,6 +59,7 @@ from .model import (
     encode,
     gcn_project,
     init_model,
+    load_checkpoint,
     mlp_project,
     rebuild_with_values,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "run_experiment",
     "label_split_for_seed",
     "run_seed",
+    "probe_seed",
     "run_seeds",
     "track_class_losses",
     "class_loss_csv",
@@ -459,6 +461,15 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
 
 
+def _seed_start(
+    model_config: ModelConfig, seed: int
+) -> tuple[ModelParams, np.random.SeedSequence]:
+    """The run seed's initial parameters, drawn from its first stream, and its
+    second stream, the one training draws from."""
+    init_seq, train_seq = np.random.SeedSequence(seed).spawn(2)
+    return init_model(model_config, np.random.default_rng(init_seq)), train_seq
+
+
 def pretrain(
     config: TrainConfig, data: TimeSeriesBatch, seed: Optional[int] = None
 ) -> tuple[ModelParams, RunRecord]:
@@ -481,9 +492,7 @@ def pretrain(
     model_config = model_config_for(config, data)
     _keep_freed_heap()
 
-    root = np.random.SeedSequence(run_seed)
-    init_seq, train_seq = root.spawn(2)
-    params = init_model(model_config, np.random.default_rng(init_seq))
+    params, train_seq = _seed_start(model_config, run_seed)
     adam_config = config.adam_config()
     first_moment = {name: np.zeros(node.shape) for name, node in params.named().items()}
     second_moment = {name: np.zeros_like(m) for name, m in first_moment.items()}
@@ -491,91 +500,94 @@ def pretrain(
 
     epoch_seqs = train_seq.spawn(config.epochs)
     stats: list[EpochStats] = []
-    for epoch_index in range(config.epochs):
-        shuffle_seq, weak_seq, strong_seq = epoch_seqs[epoch_index].spawn(3)
-        # Augment the whole dataset in canonical storage order so the views
-        # are independent of the shuffle, then batch over shuffled indices.
-        weak = weak_augment(data, np.random.default_rng(weak_seq), config.augment)
-        strong = strong_augment(data, np.random.default_rng(strong_seq), config.augment)
-        order = np.random.default_rng(shuffle_seq).permutation(data.n)
+    # A diverging run overflows before the finite checks below report it, so
+    # NumPy's warnings about it would only repeat that report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch_index in range(config.epochs):
+            shuffle_seq, weak_seq, strong_seq = epoch_seqs[epoch_index].spawn(3)
+            # Augment the whole dataset in canonical storage order so the views
+            # are independent of the shuffle, then batch over shuffled indices.
+            weak = weak_augment(data, np.random.default_rng(weak_seq), config.augment)
+            strong = strong_augment(data, np.random.default_rng(strong_seq), config.augment)
+            order = np.random.default_rng(shuffle_seq).permutation(data.n)
 
-        total_weight = 0.0
-        combined_sum = 0.0
-        component_sums: dict[str, float] = {}
-        class_sums: dict[int, float] = {}
-        class_counts: dict[int, int] = {}
+            total_weight = 0.0
+            combined_sum = 0.0
+            component_sums: dict[str, float] = {}
+            class_sums: dict[int, float] = {}
+            class_counts: dict[int, int] = {}
 
-        for start in range(0, data.n, config.batch_size):
-            rows = order[start : start + config.batch_size]
-            if rows.size < 2:
-                continue  # a single leftover sample cannot form a batch
-            stacked = np.vstack([weak.values[rows], strong.values[rows]])
-            idx = two_view_indexing(data.labels[rows])
-            label_mask = np.concatenate([data.label_mask[rows], data.label_mask[rows]])
+            for start in range(0, data.n, config.batch_size):
+                rows = order[start : start + config.batch_size]
+                if rows.size < 2:
+                    continue  # a single leftover sample cannot form a batch
+                stacked = np.vstack([weak.values[rows], strong.values[rows]])
+                idx = two_view_indexing(data.labels[rows])
+                label_mask = np.concatenate([data.label_mask[rows], data.label_mask[rows]])
 
-            try:
-                combined, tracked = _forward_batch(
-                    params, model_config, config, stacked, idx, label_mask
+                try:
+                    combined, tracked = _forward_batch(
+                        params, model_config, config, stacked, idx, label_mask
+                    )
+                except DegenerateInputError as exc:
+                    # A degenerate intermediate, such as a graph head whose ReLU
+                    # units are all dead on the batch, is a failure of the model
+                    # state like a non-finite loss, not a fault of the input.
+                    raise TrainingDivergedError(
+                        f"degenerate forward pass in epoch {epoch_index + 1}, "
+                        f"batch {start // config.batch_size + 1}: {exc}",
+                        last_good_epoch=epoch_index,
+                    ) from exc
+                total = combined.total
+                if not np.isfinite(total):
+                    raise TrainingDivergedError(
+                        f"non-finite loss in epoch {epoch_index + 1}",
+                        last_good_epoch=epoch_index,
+                    )
+                ad.backward(combined.node)
+                nodes = params.named()
+                _raise_if_non_finite(
+                    "gradient", {name: node.grad for name, node in nodes.items()}, epoch_index
                 )
-            except DegenerateInputError as exc:
-                # A degenerate intermediate, such as a graph head whose ReLU
-                # units are all dead on the batch, is a failure of the model
-                # state like a non-finite loss, not a fault of the input.
-                raise TrainingDivergedError(
-                    f"degenerate forward pass in epoch {epoch_index + 1}, "
-                    f"batch {start // config.batch_size + 1}: {exc}",
-                    last_good_epoch=epoch_index,
-                ) from exc
-            total = combined.total
-            if not np.isfinite(total):
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch_index + 1}",
-                    last_good_epoch=epoch_index,
+                step += 1  # counts every step, also for parameters left without a gradient
+                new_values = {name: node.value for name, node in nodes.items()}
+                for name, node in nodes.items():
+                    if node.grad is not None:  # the others keep their value and moments
+                        x = node.value.array.copy()
+                        adam_step(adam_config, step, x, node.grad,
+                                  first_moment[name], second_moment[name])
+                        new_values[name] = Tensor2D._adopt(x)
+                _raise_if_non_finite(
+                    "value", {name: v.array for name, v in new_values.items()}, epoch_index
                 )
-            ad.backward(combined.node)
-            nodes = params.named()
-            _raise_if_non_finite(
-                "gradient", {name: node.grad for name, node in nodes.items()}, epoch_index
-            )
-            step += 1  # counts every step, also for parameters left without a gradient
-            new_values = {name: node.value for name, node in nodes.items()}
-            for name, node in nodes.items():
-                if node.grad is not None:  # the others keep their value and moments
-                    x = node.value.array.copy()
-                    adam_step(adam_config, step, x, node.grad,
-                              first_moment[name], second_moment[name])
-                    new_values[name] = Tensor2D._adopt(x)
-            _raise_if_non_finite(
-                "value", {name: v.array for name, v in new_values.items()}, epoch_index
-            )
-            params = rebuild_with_values(params, new_values)
+                params = rebuild_with_values(params, new_values)
 
-            weight = float(idx.n)
-            total_weight += weight
-            combined_sum += total * weight
-            for cname, cvalue in combined.components.items():
-                component_sums[cname] = component_sums.get(cname, 0.0) + cvalue * weight
-            for _, label, value in tracked.per_anchor:
-                class_sums[label] = class_sums.get(label, 0.0) + value
-                class_counts[label] = class_counts.get(label, 0) + 1
-            # Release this step's graph, every node value and leaf gradient,
-            # before the next step's forward pass builds its own.
-            del combined, tracked, nodes
+                weight = float(idx.n)
+                total_weight += weight
+                combined_sum += total * weight
+                for cname, cvalue in combined.components.items():
+                    component_sums[cname] = component_sums.get(cname, 0.0) + cvalue * weight
+                for _, label, value in tracked.per_anchor:
+                    class_sums[label] = class_sums.get(label, 0.0) + value
+                    class_counts[label] = class_counts.get(label, 0) + 1
+                # Release this step's graph, every node value and leaf gradient,
+                # before the next step's forward pass builds its own.
+                del combined, tracked, nodes
 
-        if total_weight == 0.0:
-            raise ParameterError("no trainable batch was formed in an epoch")
-        stats.append(
-            EpochStats(
-                epoch=epoch_index + 1,
-                combined=combined_sum / total_weight,
-                components={
-                    k: v / total_weight for k, v in component_sums.items()
-                },
-                class_mean_loss={
-                    y: class_sums[y] / class_counts[y] for y in sorted(class_sums)
-                },
+            if total_weight == 0.0:
+                raise ParameterError("no trainable batch was formed in an epoch")
+            stats.append(
+                EpochStats(
+                    epoch=epoch_index + 1,
+                    combined=combined_sum / total_weight,
+                    components={
+                        k: v / total_weight for k, v in component_sums.items()
+                    },
+                    class_mean_loss={
+                        y: class_sums[y] / class_counts[y] for y in sorted(class_sums)
+                    },
+                )
             )
-        )
 
     record = RunRecord(
         seed=run_seed,
@@ -667,7 +679,7 @@ def linear_probe(
         g.sum(axis=0, keepdims=True, out=grad_bias)
         adam_step(adam_config, step, flat, grad, first_moment, second_moment)
 
-    clf = ClassifierParams(weight=ad.leaf(Tensor2D(weight)), bias=ad.leaf(Tensor2D(bias)))
+    clf = ClassifierParams(weight=ad.leaf(weight), bias=ad.leaf(bias))
     test_logits = classify(ad.constant(test_h.array), clf)
     predictions = np.argmax(test_logits.array, axis=1)
     report = evaluate(test.labels, predictions, n_classes)
@@ -709,11 +721,27 @@ def label_split_for_seed(batch: TimeSeriesBatch, fraction: float, seed: int) -> 
 def run_seed(config: TrainConfig, train: TimeSeriesBatch, test: TimeSeriesBatch, seed: int,
              probe_epochs: int = 200, probe_lr: float = 1e-2) -> tuple[RunRecord, dict]:
     """Split ``train``'s labels for ``seed``, then :func:`run_experiment`; the
-    parameters come back as arrays by name, which pickle where Tensor2D does not."""
+    parameters come back as plain arrays by name, which pickle and which
+    :func:`~tscl.model.save_values` writes."""
     labeled = label_split_for_seed(train, config.label_fraction, seed)
     params, record = run_experiment(config, labeled, test, seed, probe_epochs=probe_epochs,
                                     probe_lr=probe_lr)
     return record, {name: node.value.array for name, node in params.named().items()}
+
+
+def probe_seed(config: TrainConfig, train: TimeSeriesBatch, test: TimeSeriesBatch, seed: int,
+               checkpoint: Optional[str] = None, probe_epochs: int = 200,
+               probe_lr: float = 1e-2) -> MetricsReport:
+    """Linear-probe ``seed``'s initial encoder, or the checkpoint at ``checkpoint``
+    loaded in its place, on ``train``'s labels split as :func:`run_seed` splits them."""
+    model_config = model_config_for(config, train)
+    params, _ = _seed_start(model_config, seed)
+    if checkpoint is not None:
+        params = load_checkpoint(checkpoint, params)
+    labeled = label_split_for_seed(train, config.label_fraction, seed)
+    _, report = linear_probe(params, model_config, labeled, test, epochs=probe_epochs,
+                             lr=probe_lr)
+    return report
 
 
 def run_seeds(fn: Callable, calls: Sequence[tuple], jobs: int) -> list:
@@ -758,23 +786,19 @@ class ClassLossGap:
         return self.majority_mean - self.minority_mean
 
 
-def track_class_losses(
-    record: RunRecord,
-    majority_class: Optional[int] = None,
-    minority_class: Optional[int] = None,
-) -> tuple[ClassLossGap, ...]:
+def track_class_losses(record: RunRecord) -> tuple[ClassLossGap, ...]:
     """Extract per-epoch majority/minority mean losses from a run record.
 
-    Classes default to the smallest and largest class index, matching the
-    synthetic generator's convention of ordering classes by descending size.
+    The majority class is the smallest class index and the minority class
+    the largest, the synthetic generator's convention of ordering classes
+    by descending size.
     """
     if not record.epoch_stats:
         raise ParameterError("run record has no epoch statistics")
     classes = sorted(record.epoch_stats[0].class_mean_loss)
     if len(classes) < 2:
         raise ParameterError("per-class tracking needs at least two classes")
-    majority = classes[0] if majority_class is None else majority_class
-    minority = classes[-1] if minority_class is None else minority_class
+    majority, minority = classes[0], classes[-1]
     out = []
     for stat in record.epoch_stats:
         if majority not in stat.class_mean_loss or minority not in stat.class_mean_loss:

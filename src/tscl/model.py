@@ -169,7 +169,7 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
 
 
 def rebuild_with_values(
-    params: ModelParams, values: dict[str, Tensor2D]
+    params: ModelParams, values: dict[str, Tensor2D | np.ndarray]
 ) -> ModelParams:
     """New parameter set with the same structure and the given values."""
     def pick(name: str) -> ad.DiffNode:
@@ -271,23 +271,23 @@ def classify(e: ad.DiffNode, params: ClassifierParams) -> ad.DiffNode:
     return ad.add(ad.matmul(e, params.weight), params.bias)
 
 
-def save_values(values: dict[str, Tensor2D], path: str | Path) -> None:
+def save_values(values: dict[str, np.ndarray], path: str | Path) -> None:
     """Write a flat name->matrix map as JSON with full float precision."""
     payload = {
         "format": "tscl-params-v1",
         "arrays": {
             name: {
-                "shape": list(tensor.shape),
-                "data": [float(v) for v in tensor.array.reshape(-1)],
+                "shape": list(array.shape),
+                "data": [float(v) for v in array.reshape(-1)],
             }
-            for name, tensor in sorted(values.items())
+            for name, array in sorted(values.items())
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
 
 
-def load_values(path: str | Path) -> dict[str, Tensor2D]:
+def load_values(path: str | Path) -> dict[str, np.ndarray]:
     """Read a ``save_values`` checkpoint; a malformed one raises ParameterError."""
     payload = read_json_object(path, "checkpoint")
     fmt = payload.get("format")
@@ -302,7 +302,26 @@ def load_values(path: str | Path) -> dict[str, Tensor2D]:
     }
 
 
-def _checkpoint_array(entry, where: str) -> Tensor2D:
+def load_checkpoint(path: str | Path, params: ModelParams) -> ModelParams:
+    """``params`` with the values of the checkpoint at ``path``, which must hold
+    exactly the model's arrays, shape for shape."""
+    loaded = load_values(path)
+    expected = {name: node.shape for name, node in params.named().items()}
+    problems = [f"missing {name}" for name in sorted(set(expected) - set(loaded))]
+    problems += [f"unexpected {name}" for name in sorted(set(loaded) - set(expected))]
+    problems += [
+        f"{name} has shape {loaded[name].shape}, the model needs {expected[name]}"
+        for name in sorted(set(loaded) & set(expected))
+        if loaded[name].shape != expected[name]
+    ]
+    if problems:
+        raise ParameterError(
+            f"{path}: checkpoint does not match the model: {'; '.join(problems)}"
+        )
+    return rebuild_with_values(params, loaded)
+
+
+def _checkpoint_array(entry, where: str) -> np.ndarray:
     if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
         raise ParameterError(f"{where} needs both 'shape' and 'data'")
     shape, data = entry["shape"], entry["data"]
@@ -322,4 +341,4 @@ def _checkpoint_array(entry, where: str) -> Tensor2D:
     array = np.array(data, dtype=np.float64).reshape(rows, cols)
     if not np.isfinite(array).all():
         raise ParameterError(f"{where} holds a non-finite value")
-    return Tensor2D(array)
+    return array

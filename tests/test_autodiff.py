@@ -91,6 +91,16 @@ class TestRowL2Normalize:
         with pytest.raises(DegenerateInputError, match="row at index 1"):
             ad.row_l2_normalize(ad.constant(x))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+    def test_non_finite_norm_names_index(self, value):
+        # An inf norm would give a zero row and a NaN norm a NaN row; 1e200
+        # is finite, but its squared norm overflows to inf.
+        x = np.ones((3, 2))
+        x[2, 0] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match="non-finite-norm row at index 2"):
+                ad.row_l2_normalize(ad.constant(x))
+
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(5)
         x = randn(rng, 4, 3) + 0.5

@@ -70,7 +70,7 @@ def _equality_loop(sims, labels, class_index, tol):
     return q1_dev <= tol, q1_dev.hex(), q2_dev <= tol, q2_dev.hex()
 
 
-def _recount_fuzz(configurations, seed, max_batch, max_classes, equality_tol):
+def _recount_fuzz(configurations, seed, max_batch, max_classes):
     """Reference sweep: redraw the configurations and run the public builders
     in the order ``for tau: for class: for builder``."""
     rng = np.random.default_rng(seed)
@@ -90,7 +90,7 @@ def _recount_fuzz(configurations, seed, max_batch, max_classes, equality_tol):
         for tau in FUZZ_TEMPERATURES:
             for y in np.unique(idx.labels):
                 for builder in (bound_sc_from_sims, bound_uc_from_sims):
-                    report = builder(sims, idx, int(y), tau, equality_tol)
+                    report = builder(sims, idx, int(y), tau, 1e-12)
                     evaluations += 1
                     if report.slack < worst_slack:
                         worst_slack, worst_config = report.slack, config
@@ -403,11 +403,9 @@ class TestFuzz:
             with pytest.raises(DegenerateInputError, match="non-finite"):
                 check(sims, idx, 0)
 
-    @pytest.mark.parametrize("equality_tol", [1e-12, 0.3])
-    def test_equality_summary_matches_recount(self, equality_tol):
+    def test_equality_summary_matches_recount(self):
         # The whole summary, judged against the public builders run in the
-        # sweep's original loop order.  The 0.3 tolerance fails if the sweep
-        # does not pass ``equality_tol`` through.
+        # sweep's original loop order, at the sweep's tolerance of 1e-12.
         for seed, max_batch, max_classes in itertools.product(
             (0, 5, 11), (5, 16, 32), (2, 6)
         ):
@@ -416,9 +414,8 @@ class TestFuzz:
                 seed=seed,
                 max_batch=max_batch,
                 max_classes=max_classes,
-                equality_tol=equality_tol,
             )
-            expected = _recount_fuzz(100, seed, max_batch, max_classes, equality_tol)
+            expected = _recount_fuzz(100, seed, max_batch, max_classes)
             assert _summary_fields(summary) == expected, (seed, max_batch, max_classes)
 
     @pytest.mark.parametrize(

@@ -1,14 +1,21 @@
 """End-to-end command-line tests: exit codes, written artifacts, report
 formatting, and byte-level determinism of the pipeline outputs."""
 
+import ast
 import json
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tscl
 from tscl.cli import MAX_FUZZ_BATCH, MAX_FUZZ_DIM, main
+from tscl.harness import VARIANTS
 
 
 def run_cli(args) -> int:
@@ -323,6 +330,42 @@ def test_pretrain_jobs_two_divergence_exits_two_and_leaves_no_worker(workspace, 
     assert code == 2, err
     assert "training diverged" in err and "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+_DIVERGING = ["--set", "train.lr=1e80", "--set", "train.weight_decay=0.0",
+              "--set", "train.embed_dim=4"]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_pretrain_divergence_exits_two_in_every_variant(workspace, capsys, variant):
+    # The overflowed encoder gives non-finite rows: a graph head or a MID
+    # term must not turn them into zero rows or NaN adjacency entries.
+    out = workspace["root"] / f"run_div_{variant}"
+    code = run_cli(
+        ["pretrain", "--config", str(workspace["config"]), "--out", str(out),
+         "--set", "train.seeds=[1]", "--set", f"train.variant={variant}", *_DIVERGING]
+    )
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("training diverged: ")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pretrain_divergence_prints_only_its_one_line(workspace, jobs):
+    # In a subprocess, because pytest's warning capture would hide NumPy's
+    # RuntimeWarning lines; each worker process would print its own.
+    if jobs > len(os.sched_getaffinity(0)):
+        pytest.skip("needs 2 usable cores to run the seeds in worker processes")
+    env = {**os.environ, "PYTHONPATH": str(Path(tscl.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "tscl.cli", "pretrain", "--config", str(workspace["config"]),
+         "--out", str(workspace["root"] / f"run_div_quiet{jobs}"), "--jobs", str(jobs),
+         *_DIVERGING],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2, done.stderr
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("training diverged: ")
 
 
 def test_pretrain_jobs_two_writes_same_bytes_as_jobs_one(workspace, pretrain_run):
@@ -730,3 +773,20 @@ def test_no_subcommand_is_usage_error():
 
 def test_unknown_flag_is_usage_error():
     assert run_cli(["verify-bounds", "--frobnicate"]) == 1
+
+
+def test_cli_holds_no_seed_checkpoint_or_tensor_rule():
+    # The seed tree, the checkpoint's name and shape match and the array type
+    # belong to the library; the CLI only parses, calls and prints.
+    cli = Path(tscl.__file__).with_name("cli.py")
+    tree = ast.parse(cli.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            assert module.rpartition(".")[2] != "tensor", ast.unparse(node)
+            if module.rpartition(".")[2] == "model":
+                assert [alias.name for alias in node.names] == ["save_values"]
+        elif isinstance(node, ast.Import):
+            assert all(alias.name != "tscl.tensor" for alias in node.names)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            assert node.func.attr != "spawn", ast.unparse(node)

@@ -600,9 +600,9 @@ def test_probe_never_touches_encoder_bytes(labeled_split, tmp_path):
     params = init_model(mc, np.random.default_rng(8))
     before = tmp_path / "before.json"
     after = tmp_path / "after.json"
-    save_values({n: node.value for n, node in params.named().items()}, before)
+    save_values({n: node.array for n, node in params.named().items()}, before)
     linear_probe(params, mc, train, test, epochs=20, lr=0.05)
-    save_values({n: node.value for n, node in params.named().items()}, after)
+    save_values({n: node.array for n, node in params.named().items()}, after)
     assert before.read_bytes() == after.read_bytes()
 
 
@@ -745,18 +745,21 @@ def _toy_record() -> RunRecord:
 def test_track_class_losses_defaults_to_extreme_classes():
     gaps = track_class_losses(_toy_record())
     assert [g.epoch for g in gaps] == [1, 2, 3]
-    # Majority defaults to the smallest class index, minority to the largest.
+    # Majority is the smallest class index, minority the largest.
     assert gaps[0].majority_mean == pytest.approx(2.95)
     assert gaps[0].minority_mean == pytest.approx(2.6)
     assert gaps[0].gap == pytest.approx(2.95 - 2.6)
-    explicit = track_class_losses(_toy_record(), majority_class=0, minority_class=1)
-    assert explicit[2].gap == pytest.approx((3.0 - 0.15) - (2.9 - 0.3))
 
 
 def test_track_class_losses_validates_classes():
     record = _toy_record()
-    with pytest.raises(ParameterError, match="lacks a mean loss"):
-        track_class_losses(record, minority_class=2)
+    last = record.epoch_stats[-1]
+    without_minority = dataclasses.replace(
+        last, class_mean_loss={y: v for y, v in last.class_mean_loss.items() if y != 3}
+    )
+    record = dataclasses.replace(record, epoch_stats=(*record.epoch_stats[:-1], without_minority))
+    with pytest.raises(ParameterError, match="epoch 3 lacks a mean loss for class 3"):
+        track_class_losses(record)
     empty = RunRecord(seed=0, variant="mlp_id", config={}, epoch_stats=())
     with pytest.raises(ParameterError, match="no epoch statistics"):
         track_class_losses(empty)

@@ -20,6 +20,7 @@ from tscl.model import (
     encode,
     gcn_project,
     init_model,
+    load_checkpoint,
     load_values,
     mlp_project,
     rebuild_with_values,
@@ -250,10 +251,10 @@ class TestCheckpoints:
         config = _config()
         params = init_model(config, np.random.default_rng(10))
         path = tmp_path / "params.json"
-        save_values(params.values(), path)
+        save_values({name: t.array for name, t in params.values().items()}, path)
         loaded = load_values(path)
         for name, tensor in params.values().items():
-            npt.assert_array_equal(loaded[name].array, tensor.array)
+            npt.assert_array_equal(loaded[name], tensor.array)
 
     @pytest.mark.parametrize(
         "payload, message",
@@ -295,6 +296,30 @@ class TestCheckpoints:
         with pytest.raises(ParameterError, match=message) as info:
             load_values(path)
         assert str(path) in str(info.value)
+
+    def test_load_checkpoint_gives_the_saved_values(self, tmp_path):
+        config = _config()
+        saved = init_model(config, np.random.default_rng(10))
+        path = tmp_path / "params.json"
+        save_values({name: node.array for name, node in saved.named().items()}, path)
+        loaded = load_checkpoint(path, init_model(config, np.random.default_rng(11)))
+        assert set(loaded.named()) == set(saved.named())
+        for name, node in saved.named().items():
+            npt.assert_array_equal(loaded.named()[name].array, node.array)
+
+    def test_load_checkpoint_lists_every_mismatch(self, tmp_path):
+        params = init_model(_config(), np.random.default_rng(10))
+        values = {name: node.array for name, node in params.named().items()}
+        values["projection.w1"] = np.zeros((2, 2))
+        values["extra"] = values.pop("classifier.bias")
+        path = tmp_path / "params.json"
+        save_values(values, path)
+        with pytest.raises(ParameterError) as info:
+            load_checkpoint(path, params)
+        assert str(info.value) == (
+            f"{path}: checkpoint does not match the model: missing classifier.bias; "
+            "unexpected extra; projection.w1 has shape (2, 2), the model needs (6, 6)"
+        )
 
     def test_rebuild_preserves_structure_and_swaps_values(self):
         config = _config()
